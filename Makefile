@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace tape
+.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace tape rng
 
 # Tier 1: the build + vet + test gate every change must keep green
 # (ROADMAP.md).
-tier1: vet obs sparse lifecycle batch shard shardcrash trace tape
+tier1: vet obs sparse lifecycle batch shard shardcrash trace tape rng
 	$(GO) build ./... && $(GO) test ./...
 
 # Static analysis alone (also the first rung of tier1).
@@ -92,6 +92,14 @@ tape:
 	$(GO) test -race ./internal/vsmodel/ -run 'TestTape|TestFastMath|TestKernel' -count=1
 	$(GO) test -race -count=1 -run 'TestTapeFastMCDeterminism|TestTapeExactMCMatchesDirect' ./internal/experiments/
 	$(GO) test -count=1 -run 'TestTapeZeroAlloc' ./internal/vsmodel/
+
+# Per-sample PRNG rung: the lazily seeded source's draw-for-draw identity
+# with math/rand (fixed streams plus a short fuzz over seeds, call mixes
+# and mid-stream reseeds), its allocation pin, and extraction invariance
+# under the concurrent per-polarity nominal fits — under the race detector.
+rng:
+	$(GO) test -race -count=1 -run 'TestSampleRNG|TestSuiteWorkersInvariant' ./internal/montecarlo/ ./internal/experiments/
+	$(GO) test -run xxx -fuzz FuzzSampleSource -fuzztime 10s ./internal/montecarlo/
 
 # Tier 2: the race detector over the full tree, including the pooled
 # parallel Monte Carlo engine.

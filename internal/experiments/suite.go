@@ -378,28 +378,37 @@ func NewSuite(cfg Config) (*Suite, error) {
 	// Nominal extraction (Fig. 1) at the paper's W = 300 nm, followed by a
 	// δ(Leff) roll-up calibration at a second length so the model's local
 	// L-sensitivity is identified, as the paper's emphasis on a
-	// well-characterized nominal model requires.
-	for _, k := range []device.Kind{device.NMOS, device.PMOS} {
-		ref40 := s.Golden.Card(k, 300e-9, 40e-9)
-		ds40 := extract.SampleDevice(&ref40, cfg.Vdd)
-		fitted, rep, err := extract.FitVS(s.VS.Card(k, 300e-9, 40e-9), ds40)
-		if err != nil {
-			return nil, fmt.Errorf("suite: nominal fit %v: %w", k, err)
-		}
-		// Pin the local dVT/dL by calibrating δ(L) against the golden
-		// off-current at a closely spaced second length.
-		ref44 := s.Golden.Card(k, 300e-9, 44e-9)
-		if cal, err := extract.CalibrateLDelta(fitted, &ref44, cfg.Vdd); err == nil {
-			fitted = cal
-		}
-		if k == device.NMOS {
-			s.VS.NMOS = fitted
-			s.FitRepN = rep
-		} else {
-			s.VS.PMOS = fitted
-			s.FitRepP = rep
-		}
+	// well-characterized nominal model requires. The two polarities are
+	// independent, so they fit concurrently (up to cfg.Workers at once);
+	// results land only after both finish, and a failure reports the lowest
+	// index, NMOS first.
+	type nominalFit struct {
+		card vsmodel.Params
+		rep  extract.FitReport
 	}
+	kinds := [2]device.Kind{device.NMOS, device.PMOS}
+	fits, err := montecarlo.MapCtx(s.Cfg.ctx(), len(kinds), cfg.Seed, cfg.Workers,
+		func(i int, _ *rand.Rand) (nominalFit, error) {
+			k := kinds[i]
+			ref40 := s.Golden.Card(k, 300e-9, 40e-9)
+			ds40 := extract.SampleDevice(&ref40, cfg.Vdd)
+			fitted, rep, err := extract.FitVS(s.VS.Card(k, 300e-9, 40e-9), ds40)
+			if err != nil {
+				return nominalFit{}, fmt.Errorf("suite: nominal fit %v: %w", k, err)
+			}
+			// Pin the local dVT/dL by calibrating δ(L) against the golden
+			// off-current at a closely spaced second length.
+			ref44 := s.Golden.Card(k, 300e-9, 44e-9)
+			if cal, err := extract.CalibrateLDelta(fitted, &ref44, cfg.Vdd); err == nil {
+				fitted = cal
+			}
+			return nominalFit{fitted, rep}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	s.VS.NMOS, s.FitRepN = fits[0].card, fits[0].rep
+	s.VS.PMOS, s.FitRepP = fits[1].card, fits[1].rep
 
 	// Measured variances from golden MC (the "silicon data" substitute),
 	// and direct Cinv (α5) measurement from the golden oxide statistics, as

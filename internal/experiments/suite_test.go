@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -52,6 +53,41 @@ func TestSuitePipelineExtractsSaneAlphas(t *testing.T) {
 	// Fit quality carried through the suite.
 	if s.FitRepN.RMSRelId > 0.12 || s.FitRepP.RMSRelId > 0.12 {
 		t.Fatalf("nominal fits degraded: N=%g P=%g", s.FitRepN.RMSRelId, s.FitRepP.RMSRelId)
+	}
+}
+
+// TestSuiteWorkersInvariant pins that extraction does not depend on the
+// worker count: the concurrent per-polarity nominal fits and the golden MC
+// produce the same cards, α's and measured σ's at 1 and 2 workers.
+func TestSuiteWorkersInvariant(t *testing.T) {
+	build := func(workers int) *Suite {
+		cfg := DefaultConfig()
+		cfg.Scale = 0.05
+		cfg.Seed = 11
+		cfg.Workers = workers
+		s, err := NewSuite(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return s
+	}
+	a, b := build(1), build(2)
+	for _, c := range []struct {
+		name string
+		x, y any
+	}{
+		{"VS.NMOS", a.VS.NMOS, b.VS.NMOS},
+		{"VS.PMOS", a.VS.PMOS, b.VS.PMOS},
+		{"VS.AlphaN", a.VS.AlphaN, b.VS.AlphaN},
+		{"VS.AlphaP", a.VS.AlphaP, b.VS.AlphaP},
+		{"FitRepN", a.FitRepN, b.FitRepN},
+		{"FitRepP", a.FitRepP, b.FitRepP},
+		{"MeasuredN", a.MeasuredN, b.MeasuredN},
+		{"MeasuredP", a.MeasuredP, b.MeasuredP},
+	} {
+		if !reflect.DeepEqual(c.x, c.y) {
+			t.Fatalf("%s differs between 1 and 2 workers:\n1: %+v\n2: %+v", c.name, c.x, c.y)
+		}
 	}
 }
 

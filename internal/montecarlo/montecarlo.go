@@ -2,6 +2,9 @@
 // driver used by every statistical experiment in the repository. Each
 // sample gets its own PRNG seeded by a splitmix64 hash of (seed, index), so
 // results are bit-reproducible regardless of worker count or scheduling.
+// The PRNG is math/rand's generator, served by NewSource: the same stream
+// as rand.NewSource, but seeded lazily, so a sample that draws fewer than
+// 274 values never pays for the 607-word register fill.
 //
 // Failure handling is policy-driven: FailFast (the default) aborts the run
 // on the lowest failing sample index, while SkipAndRecord isolates
@@ -30,10 +33,15 @@ func splitmix64(x uint64) uint64 {
 }
 
 // SampleRNG returns the deterministic PRNG for sample idx of a run seeded
-// with seed.
+// with seed. Its stream is that of rand.NewSource(s) for the splitmix-derived
+// seed s, served by the lazily seeded NewSource.
 func SampleRNG(seed int64, idx int) *rand.Rand {
-	s := splitmix64(uint64(seed)*0x9e3779b97f4a7c15 + uint64(idx) + 1)
-	return rand.New(rand.NewSource(int64(s)))
+	return rand.New(NewSource(sampleSeed(seed, idx)))
+}
+
+// sampleSeed is the splitmix-derived source seed of sample idx.
+func sampleSeed(seed int64, idx int) int64 {
+	return int64(splitmix64(uint64(seed)*0x9e3779b97f4a7c15 + uint64(idx) + 1))
 }
 
 // FailurePolicy selects how sample failures are handled.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -113,6 +114,8 @@ func (r *Registry) NewShard() *Shard {
 	for i := range r.hists {
 		s.hists[i].bounds = r.hists[i].bounds
 		s.hists[i].counts = make([]atomic.Int64, len(r.hists[i].bounds)+1)
+		s.hists[i].min.Store(math.MaxInt64)
+		s.hists[i].max.Store(math.MinInt64)
 	}
 	r.shards = append(r.shards, s)
 	return s
@@ -133,6 +136,8 @@ type histShard struct {
 	counts []atomic.Int64
 	count  atomic.Int64
 	sum    atomic.Int64
+	min    atomic.Int64 // MaxInt64 until the first observation
+	max    atomic.Int64 // MinInt64 until the first observation
 }
 
 // Add increments a counter.
@@ -157,6 +162,12 @@ func (s *Shard) Observe(id HistID, v int64) {
 		return
 	}
 	h := &s.hists[id]
+	// Extremes first, so a live snapshot that counts v also bounds it.
+	// Shards are worker-private, so the CAS loops do not contend.
+	for m := h.min.Load(); v < m && !h.min.CompareAndSwap(m, v); m = h.min.Load() {
+	}
+	for m := h.max.Load(); v > m && !h.max.CompareAndSwap(m, v); m = h.max.Load() {
+	}
 	// Manual binary search: sort.Search's closure can escape under some
 	// build modes and this must stay allocation-free.
 	lo, hi := 0, len(h.bounds)
@@ -186,11 +197,14 @@ type GaugeSnap struct {
 }
 
 // HistSnap is one merged histogram: bucket counts (the last entry is the
-// overflow bucket), total count/sum and precomputed quantile estimates.
+// overflow bucket), total count/sum, the observed extremes (0 when empty)
+// and precomputed quantile estimates.
 type HistSnap struct {
 	Name   string  `json:"name"`
 	Count  int64   `json:"count"`
 	Sum    int64   `json:"sum"`
+	Min    int64   `json:"min"`
+	Max    int64   `json:"max"`
 	Bounds []int64 `json:"bounds"`
 	Counts []int64 `json:"counts"`
 	P50    float64 `json:"p50"`
@@ -200,11 +214,18 @@ type HistSnap struct {
 
 // Quantile estimates the q-quantile (0 < q < 1) from the bucket counts by
 // linear interpolation inside the containing bucket. Observations in the
-// overflow bucket report the last finite bound.
+// overflow bucket report the last finite bound. The estimate is clamped to
+// the observed [Min, Max], so a histogram of identical values reports that
+// value rather than a point inside its bucket.
 func (h HistSnap) Quantile(q float64) float64 {
 	if h.Count == 0 {
 		return 0
 	}
+	return math.Min(math.Max(h.bucketQuantile(q), float64(h.Min)), float64(h.Max))
+}
+
+// bucketQuantile is Quantile before clamping to the observed range.
+func (h HistSnap) bucketQuantile(q float64) float64 {
 	target := q * float64(h.Count)
 	var cum int64
 	var lower int64
@@ -272,6 +293,7 @@ func (r *Registry) Snapshot() Snapshot {
 			Bounds: def.bounds,
 			Counts: make([]int64, len(def.bounds)+1),
 		}
+		hs.Min, hs.Max = math.MaxInt64, math.MinInt64
 		for _, s := range r.shards {
 			h := &s.hists[i]
 			for b := range hs.Counts {
@@ -279,6 +301,11 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 			hs.Count += h.count.Load()
 			hs.Sum += h.sum.Load()
+			hs.Min = min(hs.Min, h.min.Load())
+			hs.Max = max(hs.Max, h.max.Load())
+		}
+		if hs.Count == 0 {
+			hs.Min, hs.Max = 0, 0
 		}
 		hs.P50, hs.P90, hs.P99 = hs.Quantile(0.50), hs.Quantile(0.90), hs.Quantile(0.99)
 		snap.Histograms = append(snap.Histograms, hs)

@@ -101,6 +101,44 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantilesClampedToObservedRange pins that quantile
+// estimates never leave the observed [min, max]: a phase that observes only
+// zeros reports p50 = 0 (not a point inside the first bucket), and n
+// identical observations report that value at every quantile.
+func TestHistogramQuantilesClampedToObservedRange(t *testing.T) {
+	r := NewRegistry()
+	zeros := r.Histogram("zeros", ExpBounds(256, 2, 8))
+	same := r.Histogram("same", ExpBounds(256, 2, 8))
+	r.Histogram("empty", ExpBounds(256, 2, 8))
+	shards := []*Shard{r.NewShard(), r.NewShard()}
+	for i := 0; i < 64; i++ {
+		shards[i%2].Observe(zeros, 0)
+	}
+	for i := 0; i < 37; i++ {
+		shards[i%2].Observe(same, 1000)
+	}
+	snap := r.Snapshot()
+
+	z := snap.Find("zeros")
+	if z.Count != 64 || z.Sum != 0 || z.Min != 0 || z.Max != 0 {
+		t.Fatalf("zeros: count/sum/min/max = %d/%d/%d/%d, want 64/0/0/0", z.Count, z.Sum, z.Min, z.Max)
+	}
+	if z.P50 != 0 || z.P90 != 0 || z.P99 != 0 {
+		t.Fatalf("zeros: p50/p90/p99 = %v/%v/%v, want 0", z.P50, z.P90, z.P99)
+	}
+	s := snap.Find("same")
+	if s.Min != 1000 || s.Max != 1000 {
+		t.Fatalf("same: min/max = %d/%d, want 1000/1000", s.Min, s.Max)
+	}
+	if s.P50 != 1000 || s.P90 != 1000 || s.P99 != 1000 {
+		t.Fatalf("same: p50/p90/p99 = %v/%v/%v, want 1000", s.P50, s.P90, s.P99)
+	}
+	e := snap.Find("empty")
+	if e.Count != 0 || e.Min != 0 || e.Max != 0 || e.P50 != 0 {
+		t.Fatalf("empty: count/min/max/p50 = %d/%d/%d/%v, want zeros", e.Count, e.Min, e.Max, e.P50)
+	}
+}
+
 func TestSnapshotJSONAndPrometheus(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("mc_samples_total")
