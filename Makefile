@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace tape rng
+.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace tape rng tranrecord
 
 # Tier 1: the build + vet + test gate every change must keep green
 # (ROADMAP.md).
-tier1: vet obs sparse lifecycle batch shard shardcrash trace tape rng
+tier1: vet obs sparse lifecycle batch shard shardcrash trace tape rng tranrecord
 	$(GO) build ./... && $(GO) test ./...
 
 # Static analysis alone (also the first rung of tier1).
@@ -100,6 +100,18 @@ tape:
 rng:
 	$(GO) test -race -count=1 -run 'TestSampleRNG|TestSuiteWorkersInvariant' ./internal/montecarlo/ ./internal/experiments/
 	$(GO) test -run xxx -fuzz FuzzSampleSource -fuzztime 10s ./internal/montecarlo/
+
+# Transient-record rung: a transient resumed from a spice.TranRecord equals
+# the same transient solved from t = 0 bit for bit (unit cases, a short fuzz
+# over random PWL inputs and trial orders, and every setup/hold bisection
+# trial of mismatched registers), the record's key and rescue rules, the
+# step ledger, the allocation pins, and the fast path's setup-time accuracy
+# — under the race detector, because pooled workers each own a record.
+tranrecord:
+	$(GO) test -race -count=1 -run 'TestTranRecord|TestTranStep' ./internal/spice/
+	$(GO) test -race -count=1 -run 'TestTrialsMatchFreshRegister|TestSearch' ./internal/measure/
+	$(GO) test -race -count=1 -run 'TestPooledFastSetupAccuracy|TestPooledSetupTimeBitIdentical' ./internal/experiments/
+	$(GO) test -run xxx -fuzz FuzzTranRecord -fuzztime 10s ./internal/spice/
 
 # Tier 2: the race detector over the full tree, including the pooled
 # parallel Monte Carlo engine.

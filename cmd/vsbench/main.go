@@ -83,7 +83,10 @@ type unitRecord struct {
 	JacRefreshPerStep    float64 `json:"jac_refresh_per_step"`
 	NewtonItersPerSample float64 `json:"newton_iters_per_sample"`
 	TranStepsPerSample   float64 `json:"tran_steps_per_sample"`
-	Rescues              int64   `json:"rescues"`
+	// Transient steps restored from a spice.TranRecord instead of solved
+	// (the setup-time bisection trials share their prefix).
+	TranStepsReusedPerSample float64 `json:"tran_steps_reused_per_sample"`
+	Rescues                  int64   `json:"rescues"`
 
 	// Batched-engine rows only (-lanes widths above 0): the lockstep lane
 	// width, the run's average lane occupancy (filled lanes over lanes
@@ -804,20 +807,21 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 		return unitRecord{}, fmt.Errorf("%s (%s, %s): %w", name, mode, core, err)
 	}
 	rec := unitRecord{
-		Unit:                 name,
-		Mode:                 mode,
-		Kernel:               lc.kernel,
-		LinearCore:           core.String(),
-		MatrixN:              mr.n,
-		MatrixNNZ:            mr.nnz,
-		Samples:              n,
-		Workers:              workers,
-		NsPerSample:          float64(elapsed.Nanoseconds()) / float64(n),
-		BytesPerSample:       float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
-		AllocsPerSample:      float64(after.Mallocs-before.Mallocs) / float64(n),
-		NewtonItersPerSample: float64(stats.NewtonIters) / float64(n),
-		TranStepsPerSample:   float64(stats.TranSteps) / float64(n),
-		Rescues:              stats.Rescues,
+		Unit:                     name,
+		Mode:                     mode,
+		Kernel:                   lc.kernel,
+		LinearCore:               core.String(),
+		MatrixN:                  mr.n,
+		MatrixNNZ:                mr.nnz,
+		Samples:                  n,
+		Workers:                  workers,
+		NsPerSample:              float64(elapsed.Nanoseconds()) / float64(n),
+		BytesPerSample:           float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
+		AllocsPerSample:          float64(after.Mallocs-before.Mallocs) / float64(n),
+		NewtonItersPerSample:     float64(stats.NewtonIters) / float64(n),
+		TranStepsPerSample:       float64(stats.TranSteps) / float64(n),
+		TranStepsReusedPerSample: float64(stats.TranStepsReused) / float64(n),
+		Rescues:                  stats.Rescues,
 	}
 	if mr.n > 0 {
 		rec.FillRatio = float64(mr.nnz) / (float64(mr.n) * float64(mr.n))

@@ -16,6 +16,13 @@ type DFF struct {
 	D, Clk, Q            int
 	M1, M2, S1, ClkB     int // internal nodes, exposed for initial conditions
 	Vdd                  float64
+
+	// Storage for the setup/hold searches of package measure. Data and
+	// Clock are the waveforms the trials drive D and CLK with, rewritten in
+	// place so a search allocates nothing; Rec lets each trial resume from
+	// the transient steps it shares with the previous one.
+	Data, Clock spice.PWL
+	Rec         spice.TranRecord
 }
 
 // ICHoldingZero returns transient initial conditions with the register

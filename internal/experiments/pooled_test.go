@@ -10,6 +10,7 @@ import (
 	"vstat/internal/core"
 	"vstat/internal/measure"
 	"vstat/internal/montecarlo"
+	"vstat/internal/variation"
 )
 
 const poolTestVdd = 0.9
@@ -173,6 +174,42 @@ func TestPooledFastDelayAccuracy(t *testing.T) {
 		if fast4[i] != fast[i] {
 			t.Fatalf("fast sample %d varies with worker count: %.17g vs %.17g",
 				i, fast4[i], fast[i])
+		}
+	}
+}
+
+// TestPooledFastSetupAccuracy is the register twin of
+// TestPooledFastDelayAccuracy: on mismatched registers, the fast path's
+// setup times stay within the bisection resolution of the exact path's,
+// although its trials resume from the register's record with a fresh
+// factorization instead of the one the skipped steps would have carried.
+func TestPooledFastSetupAccuracy(t *testing.T) {
+	m := core.DefaultStatVS()
+	m.AlphaN, m.AlphaP = variation.GoldenTruthNMOS(), variation.GoldenTruthPMOS()
+	const n = 8
+	const seed = int64(808)
+	opts := measure.DefaultSetupOpts()
+	setup := func(fast bool) []float64 {
+		out, err := montecarlo.MapPooled(n, seed, 2,
+			func(int) (*circuits.PooledDFF, error) {
+				return circuits.NewPooledDFF(poolTestVdd, circuits.DefaultDFFSizing(), m.Nominal(), fast), nil
+			},
+			func(ff *circuits.PooledDFF, idx int, rng *rand.Rand) (float64, error) {
+				ff.Restat(m.Statistical(rng))
+				o := opts
+				o.Res, o.Fast = &ff.Res, ff.Fast
+				return measure.SetupTime(ff.DFF, o)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	exact, fast := setup(false), setup(true)
+	for i := range exact {
+		if d := math.Abs(fast[i] - exact[i]); d > opts.Tol {
+			t.Fatalf("fast setup time %d deviates by %g s (exact %g s, fast %g s), over Tol %g s",
+				i, d, exact[i], fast[i], opts.Tol)
 		}
 	}
 }

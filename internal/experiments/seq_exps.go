@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 
 	"vstat/internal/circuits"
 	"vstat/internal/core"
@@ -21,7 +22,11 @@ type Fig8Result struct {
 	// TrialsPerSample is the bisection cost (the ~20× characterization
 	// overhead the paper highlights for register timing).
 	TrialsPerSample int
-	Health          Health
+	// StepsSolved and StepsReused count the bisection trials' transient
+	// steps over the samples this run solved: solved, or restored from the
+	// register's record of the previous trial.
+	StepsSolved, StepsReused int64
+	Health                   Health
 }
 
 // Fig8 runs the setup-time Monte Carlo.
@@ -34,6 +39,7 @@ func (s *Suite) Fig8() (Fig8Result, error) {
 	for r := opts.MaxOffset * 1.25; r > opts.Tol; r /= 2 {
 		res.TrialsPerSample++
 	}
+	var solved, reused atomic.Int64
 	run := func(m core.StatModel, name string, seed int64) ([]float64, error) {
 		out, rep, err := runPooledMC[obsState[*circuits.PooledDFF], float64](s.Cfg, name, n, seed,
 			newObsState(s.instr, func() (*circuits.PooledDFF, error) {
@@ -48,12 +54,16 @@ func (s *Suite) Fig8() (Fig8Result, error) {
 				sc.Exit()
 				o := opts
 				o.Res, o.Fast = &ff.Res, ff.Fast
+				before := ff.Ckt.Stats()
 				// The bisection's transient solves record themselves inside
 				// the measure span, pausing it for the solver's share.
 				sc.Enter(obs.PhaseMeasure)
 				ts, err := measure.SetupTime(ff.DFF, o)
 				sc.Exit()
-				so.End(ff.Ckt.Stats())
+				after := ff.Ckt.Stats()
+				solved.Add(after.TranSteps - before.TranSteps)
+				reused.Add(after.TranStepsReused - before.TranStepsReused)
+				so.End(after)
 				return ts, err
 			})
 		res.Health.Merge(rep)
@@ -72,6 +82,7 @@ func (s *Suite) Fig8() (Fig8Result, error) {
 	}
 	res.Golden = newDelayDist(g)
 	res.VS = newDelayDist(v)
+	res.StepsSolved, res.StepsReused = solved.Load(), reused.Load()
 	return res, nil
 }
 
@@ -81,8 +92,13 @@ func (r Fig8Result) String() string {
 	fmt.Fprintf(&b, "Fig. 8: DFF setup time (NMOS-pass master-slave), N=%d per model\n", r.N)
 	fmt.Fprintf(&b, "  golden: mean %.2f ps  sd %.2f ps\n", r.Golden.Mean*1e12, r.Golden.SD*1e12)
 	fmt.Fprintf(&b, "  VS    : mean %.2f ps  sd %.2f ps\n", r.VS.Mean*1e12, r.VS.SD*1e12)
-	fmt.Fprintf(&b, "  bisection cost: ~%d transients per sample (the paper's ~20x register overhead)\n",
+	fmt.Fprintf(&b, "  bisection cost: ~%d transients per sample (the paper's ~20x register overhead)",
 		r.TrialsPerSample)
+	if steps := r.StepsSolved + r.StepsReused; steps > 0 {
+		fmt.Fprintf(&b, ", %.0f%% of their steps restored from the previous trial",
+			100*float64(r.StepsReused)/float64(steps))
+	}
+	b.WriteString("\n")
 	b.WriteString(healthLine(r.Health))
 	return b.String()
 }

@@ -41,10 +41,15 @@ func DefaultSetupOpts() SetupOpts {
 
 // SetupTime finds the minimum time by which a 0→1 data transition must
 // precede the rising clock edge for the register to capture the 1 (checked
-// at ClkEdge+Settle). As in the paper, this needs a full transient per
-// probe, which is what makes register characterization ~20× more expensive
-// than a combinational cell and motivates the ultra-compact VS model.
+// at ClkEdge+Settle). As in the paper, every probe of the bisection is a
+// transient, which is what makes register characterization ~20× more
+// expensive than a combinational cell and motivates the ultra-compact VS
+// model. The probes share the register's transient record (DFF.Rec): they
+// start from the same state under the same clock, so each probe solves
+// only the steps from its data edge on, with the same result bit for bit
+// as a transient from t = 0.
 func SetupTime(ff *circuits.DFF, o SetupOpts) (float64, error) {
+	setClock(ff, o)
 	passes := func(offset float64) (bool, error) {
 		return setupTrialPasses(ff, o, offset)
 	}
@@ -89,16 +94,9 @@ func setupTrialPasses(ff *circuits.DFF, o SetupOpts, offset float64) (bool, erro
 	tData := o.ClkEdge - offset
 
 	// Data: low, rising at tData, staying high.
-	ff.Ckt.SetVSource(ff.DSrc, spice.PWL{
-		T: []float64{0, tData, tData + edge},
-		V: []float64{0, 0, vdd},
-	})
-	// Clock: low long enough for the master to settle at D=0, one rising
-	// edge at ClkEdge, held high through the check.
-	ff.Ckt.SetVSource(ff.ClkSrc, spice.PWL{
-		T: []float64{0, o.ClkEdge, o.ClkEdge + edge},
-		V: []float64{0, 0, vdd},
-	})
+	ff.Data.T = append(ff.Data.T[:0], 0, tData, tData+edge)
+	ff.Data.V = append(ff.Data.V[:0], 0, 0, vdd)
+	ff.Ckt.SetVSource(ff.DSrc, &ff.Data)
 
 	stop := o.ClkEdge + o.Settle
 	res, err := o.runTrial(ff, stop)
@@ -114,10 +112,21 @@ func setupTrialPasses(ff *circuits.DFF, o SetupOpts, offset float64) (bool, erro
 	return q > vdd/2, nil
 }
 
-// runTrial runs one capture transient, into o.Res when pooling is active.
+// setClock installs the clock of a search, shared by all its trials: low
+// long enough for the master to settle at D=0, one rising edge at ClkEdge,
+// held high through the check.
+func setClock(ff *circuits.DFF, o SetupOpts) {
+	ff.Clock.T = append(ff.Clock.T[:0], 0, o.ClkEdge, o.ClkEdge+circuits.EdgeTime)
+	ff.Clock.V = append(ff.Clock.V[:0], 0, 0, ff.Vdd)
+	ff.Ckt.SetVSource(ff.ClkSrc, &ff.Clock)
+}
+
+// runTrial runs one capture transient, into o.Res when pooling is active,
+// resuming from the register's record of the previous trial.
 func (o SetupOpts) runTrial(ff *circuits.DFF, stop float64) (*spice.TranResult, error) {
 	opts := spice.TranOpts{
 		Stop: stop, Step: o.Step, UIC: true, IC: ff.ICHoldingZero(), Fast: o.Fast,
+		Record: &ff.Rec,
 	}
 	if o.Res != nil {
 		if err := ff.Ckt.TransientInto(opts, o.Res); err != nil {
@@ -132,8 +141,10 @@ func (o SetupOpts) runTrial(ff *circuits.DFF, stop float64) (*spice.TranResult, 
 // rising clock edge: data goes high well before the edge, then falls at
 // ClkEdge+offset; the register must still capture the 1. Returned is the
 // smallest passing offset (can be negative when the data may fall before
-// the edge).
+// the edge). Like SetupTime's, the probes share the register's transient
+// record and each solves only the steps from its data fall on.
 func HoldTime(ff *circuits.DFF, o SetupOpts) (float64, error) {
+	setClock(ff, o)
 	passes := func(offset float64) (bool, error) {
 		return holdTrialPasses(ff, o, offset)
 	}
@@ -173,14 +184,9 @@ func holdTrialPasses(ff *circuits.DFF, o SetupOpts, offset float64) (bool, error
 	tFall := o.ClkEdge + offset
 
 	// Data: high early (ample setup), falling at tFall.
-	ff.Ckt.SetVSource(ff.DSrc, spice.PWL{
-		T: []float64{0, 50e-12, 50e-12 + edge, tFall, tFall + edge},
-		V: []float64{0, 0, vdd, vdd, 0},
-	})
-	ff.Ckt.SetVSource(ff.ClkSrc, spice.PWL{
-		T: []float64{0, o.ClkEdge, o.ClkEdge + edge},
-		V: []float64{0, 0, vdd},
-	})
+	ff.Data.T = append(ff.Data.T[:0], 0, 50e-12, 50e-12+edge, tFall, tFall+edge)
+	ff.Data.V = append(ff.Data.V[:0], 0, 0, vdd, vdd, 0)
+	ff.Ckt.SetVSource(ff.DSrc, &ff.Data)
 	stop := o.ClkEdge + o.Settle
 	res, err := o.runTrial(ff, stop)
 	if err != nil {

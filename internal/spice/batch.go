@@ -244,6 +244,7 @@ func (b *BatchSim) evict(l int, opts TranOpts, guess []float64, res *TranResult)
 	b.Evictions++
 	o := opts
 	o.Guess = guess
+	o.Record = nil // the lockstep path neither reads nor writes a record
 	err := c.TransientInto(o, res)
 	b.outcomes[l] = LaneOutcome{Err: err, Evicted: true}
 }
@@ -251,7 +252,8 @@ func (b *BatchSim) evict(l int, opts TranOpts, guess []float64, res *TranResult)
 // TransientBatch runs the fixed-step transient of TransientInto on lanes
 // [0, live) in lockstep, writing lane l's waveforms into res[l]. guesses
 // optionally warm-starts each lane's initial operating point (nil falls
-// back to opts.Guess for every lane); opts is shared across lanes.
+// back to opts.Guess for every lane); opts is shared across lanes, and its
+// Record is ignored.
 //
 // The returned slice (owned by the BatchSim, valid until the next call)
 // reports each lane's outcome. Lanes whose solve leaves the lockstep happy
@@ -341,7 +343,7 @@ func (b *BatchSim) TransientBatch(live int, opts TranOpts, guesses [][]float64, 
 		}
 	}
 
-	steps := int(math.Ceil(opts.Stop/opts.Step + 1e-9))
+	steps := int(math.Ceil(opts.Stop/opts.Step - 1e-9))
 	for l := 0; l < live; l++ {
 		if !b.lockstep[l] {
 			continue

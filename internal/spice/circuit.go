@@ -201,6 +201,12 @@ type Circuit struct {
 
 	stats SolverStats
 
+	// gen counts changes to what a transient step computes beyond its
+	// starting state and source values: every new node, element or device
+	// card, and every sparse pivot-order analysis. A TranRecord is keyed to
+	// it, so any such change invalidates the record.
+	gen uint64
+
 	// Run-lifecycle state (see ArmSample in lifecycle.go): the armed
 	// context's done channel, the per-sample wall deadline, the iteration
 	// cap, and the running iteration count. All zero when disarmed, in
@@ -233,6 +239,7 @@ func (c *Circuit) Node(name string) int {
 		return idx
 	}
 	idx := len(c.nodeNames)
+	c.gen++
 	c.nodeNames = append(c.nodeNames, name)
 	c.nodeIdx[name] = idx
 	return idx
@@ -254,6 +261,7 @@ func (c *Circuit) AddR(name string, a, b int, ohms float64) {
 	if ohms <= 0 {
 		panic(fmt.Sprintf("spice: resistor %s with non-positive value %g", name, ohms))
 	}
+	c.gen++
 	c.luValid = false
 	c.spReady = false
 	c.rs = append(c.rs, resistor{name: name, a: a, b: b, g: 1 / ohms})
@@ -264,6 +272,7 @@ func (c *Circuit) AddC(name string, a, b int, farads float64) {
 	if farads < 0 {
 		panic(fmt.Sprintf("spice: capacitor %s with negative value %g", name, farads))
 	}
+	c.gen++
 	c.luValid = false
 	c.spReady = false
 	c.cs = append(c.cs, capacitor{name: name, a: a, b: b, c: farads})
@@ -273,6 +282,7 @@ func (c *Circuit) AddC(name string, a, b int, farads float64) {
 // its source index for later current readback.
 func (c *Circuit) AddV(name string, p, n int, w Waveform) int {
 	idx := len(c.vs)
+	c.gen++
 	c.luValid = false
 	c.spReady = false
 	c.vs = append(c.vs, vsource{name: name, p: p, n: n, branch: idx, wave: w})
@@ -281,11 +291,13 @@ func (c *Circuit) AddV(name string, p, n int, w Waveform) int {
 
 // AddI adds a current source driving current from p through the source to n.
 func (c *Circuit) AddI(name string, p, n int, w Waveform) {
+	c.gen++
 	c.is = append(c.is, isource{name: name, p: p, n: n, wave: w})
 }
 
 // AddMOS adds a four-terminal MOSFET instance.
 func (c *Circuit) AddMOS(name string, d, g, s, b int, dev device.Device) {
+	c.gen++
 	c.luValid = false
 	c.spReady = false
 	c.mos = append(c.mos, mosfet{name: name, d: d, g: g, s: s, b: b, dev: dev})
@@ -299,6 +311,7 @@ func (c *Circuit) NumMOS() int { return len(c.mos) }
 // re-stamp path for pooled Monte Carlo: swap parameter cards, not netlists.
 func (c *Circuit) SetMOSDevice(i int, dev device.Device) {
 	c.mos[i].dev = dev
+	c.gen++
 	c.luValid = false
 }
 

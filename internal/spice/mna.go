@@ -104,6 +104,11 @@ type SolverStats struct {
 	// the sites that invoke a model, not at the stamping sites that consume
 	// a pre-computed bundle, so batch and scalar paths count identically.
 	ModelEvals int64
+
+	// TranStepsReused counts transient timesteps restored from a TranRecord
+	// instead of solved (see TranOpts.Record). Excluded from RescueCounts and
+	// Work: it is solver work avoided, not work done.
+	TranStepsReused int64
 }
 
 // RescueCounts returns the nonzero rescue-ladder counters keyed by stage
@@ -154,6 +159,7 @@ func (s SolverStats) Add(o SolverStats) SolverStats {
 		NonFiniteRejects: s.NonFiniteRejects + o.NonFiniteRejects,
 		SparseRepivots:   s.SparseRepivots + o.SparseRepivots,
 		ModelEvals:       s.ModelEvals + o.ModelEvals,
+		TranStepsReused:  s.TranStepsReused + o.TranStepsReused,
 	}
 }
 
@@ -423,21 +429,12 @@ func (c *Circuit) tranHistoryFinite(ts *tranState) bool {
 // charge currents. Existing history slices are reused when the element
 // counts match, so pooled transients allocate nothing here.
 func (c *Circuit) initTranHistory(x []float64, ts *tranState) {
-	if len(ts.qPrevCap) != len(c.cs) {
-		ts.qPrevCap = make([]float64, len(c.cs))
-		ts.iPrevCap = make([]float64, len(c.cs))
-	} else {
-		for i := range ts.iPrevCap {
-			ts.iPrevCap[i] = 0
-		}
+	c.sizeTranHistory(ts)
+	for i := range ts.iPrevCap {
+		ts.iPrevCap[i] = 0
 	}
-	if len(ts.qPrevMos) != len(c.mos) {
-		ts.qPrevMos = make([][4]float64, len(c.mos))
-		ts.iPrevMos = make([][4]float64, len(c.mos))
-	} else {
-		for i := range ts.iPrevMos {
-			ts.iPrevMos[i] = [4]float64{}
-		}
+	for i := range ts.iPrevMos {
+		ts.iPrevMos[i] = [4]float64{}
 	}
 	for i := range c.cs {
 		cp := &c.cs[i]
@@ -448,6 +445,19 @@ func (c *Circuit) initTranHistory(x []float64, ts *tranState) {
 		e := m.dev.Eval(nv(x, m.d), nv(x, m.g), nv(x, m.s), nv(x, m.b))
 		c.stats.ModelEvals++
 		ts.qPrevMos[i] = [4]float64{e.Q.Qd, e.Q.Qg, e.Q.Qs, e.Q.Qb}
+	}
+}
+
+// sizeTranHistory sizes the charge-history slices to the circuit's
+// capacitor and MOSFET counts, reusing them when the counts match.
+func (c *Circuit) sizeTranHistory(ts *tranState) {
+	if len(ts.qPrevCap) != len(c.cs) {
+		ts.qPrevCap = make([]float64, len(c.cs))
+		ts.iPrevCap = make([]float64, len(c.cs))
+	}
+	if len(ts.qPrevMos) != len(c.mos) {
+		ts.qPrevMos = make([][4]float64, len(c.mos))
+		ts.iPrevMos = make([][4]float64, len(c.mos))
 	}
 }
 

@@ -322,6 +322,7 @@ func (c *Circuit) assembleSparse(x, f []float64, ctx *assembleCtx) {
 // analysis and retry once before reporting a singular Jacobian.
 func (c *Circuit) factorSparse() error {
 	if c.spLU == nil {
+		c.gen++ // a new pivot order (see TranRecord)
 		lu, err := linalg.NewSparseLU(c.sp)
 		if err != nil {
 			return err
@@ -334,6 +335,7 @@ func (c *Circuit) factorSparse() error {
 		return nil
 	}
 	c.stats.SparseRepivots++
+	c.gen++
 	if aerr := c.spLU.Analyze(c.sp); aerr != nil {
 		return aerr
 	}

@@ -40,6 +40,14 @@ type TranOpts struct {
 	// cached by the last Newton assembly for the charge-history update.
 	// Leave unset for the tight-tolerance classic path.
 	Fast bool
+
+	// Record, when non-nil, lets this transient resume from the steps it
+	// shares with the last transient recorded into it, and records this
+	// transient's steps for the next one (see TranRecord). In exact mode the
+	// waveforms are bit-identical to a run without a record. A resumed fast
+	// transient refactors its first Jacobian instead of carrying one, so its
+	// waveforms may move at the fast-path tolerance floor.
+	Record *TranRecord
 }
 
 // TranResult holds the sampled waveforms of a transient run. A TranResult
@@ -149,7 +157,8 @@ func (c *Circuit) Transient(opts TranOpts) (*TranResult, error) {
 // TransientInto runs a fixed-step implicit transient analysis into res,
 // reusing the circuit's step scratch, integrator history, and the result's
 // waveform storage. Back-to-back runs on the same circuit (the pooled Monte
-// Carlo hot path) allocate nothing after the first.
+// Carlo hot path) allocate nothing after the first. The run takes
+// ⌈Stop/Step⌉ steps, so a Stop that is a multiple of Step ends on it.
 func (c *Circuit) TransientInto(opts TranOpts, res *TranResult) error {
 	if opts.Stop <= 0 || opts.Step <= 0 {
 		return fmt.Errorf("spice: invalid transient window stop=%g step=%g", opts.Stop, opts.Step)
@@ -185,16 +194,29 @@ func (c *Circuit) TransientInto(opts TranOpts, res *TranResult) error {
 
 	ts := &c.trState
 	ts.h, ts.trap, ts.firstBE = opts.Step, opts.Trap, true
-	c.initTranHistory(x, ts)
 
-	steps := int(math.Ceil(opts.Stop/opts.Step + 1e-9))
+	steps := int(math.Ceil(opts.Stop/opts.Step - 1e-9))
 	res.reset(c, steps+1)
-	res.snap(0, x)
+	// The preamble leaves the state at the top of step k0: row k0 in x, the
+	// predictor's rows in xPrev/xPrev2, the charge history in ts. A record
+	// restores the k0 steps it shares with this run; otherwise k0 is 0.
+	rec := opts.Record
+	k0 := rec.resume(c, opts, steps, x)
+	if k0 > 0 {
+		rec.restore(k0, opts.Step, x, xPrev, xPrev2, ts, res)
+		c.stats.TranStepsReused += int64(k0)
+		// The fast path's carried factorization belongs to another run's
+		// last step, not to step k0.
+		c.luValid = false
+	} else {
+		c.initTranHistory(x, ts)
+		res.snap(0, x)
+		copy(xPrev, x)
+		rec.put(0, 0, x, ts)
+	}
 
-	t := 0.0
-	copy(xPrev, x)
-	for k := 0; k < steps; k++ {
-		t = float64(k+1) * opts.Step
+	for k := k0; k < steps; k++ {
+		t := float64(k+1) * opts.Step
 		// Snapshot the charge history so a failed or NaN-rejected step can
 		// be retried (and retried again at a finer sub-step) from exactly
 		// the end-of-previous-step integrator state.
@@ -258,10 +280,14 @@ func (c *Circuit) TransientInto(opts TranOpts, res *TranResult) error {
 			if rerr := c.rescueLadder(xPrev, x, t-opts.Step, opts.Step, ts, opts.Fast); rerr != nil {
 				return fmt.Errorf("spice: transient failed at t=%g: %w", t, asError(rerr))
 			}
+			// The rescue evaluated the sources between grid points, which
+			// the record does not compare: the record ends before this step.
+			rec = nil
 		}
 		ts.firstBE = false
 		c.stats.TranSteps++
 		res.snap(t, x)
+		rec.put(k+1, t, x, ts)
 	}
 	return nil
 }
