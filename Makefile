@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace tape rng tranrecord
+.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace rng tranrecord
 
 # Tier 1: the build + vet + test gate every change must keep green
 # (ROADMAP.md).
-tier1: vet obs sparse lifecycle batch shard shardcrash trace tape rng tranrecord
+tier1: vet obs sparse lifecycle batch shard shardcrash trace rng tranrecord
 	$(GO) build ./... && $(GO) test ./...
 
 # Static analysis alone (also the first rung of tier1).
@@ -26,14 +26,15 @@ sparse:
 	$(GO) test -race ./internal/linalg/ ./internal/spice/ -count=1
 
 # Run-lifecycle rung: context cancellation, per-sample budgets, the hang
-# watchdog, and checkpoint/resume — under the race detector and repeated,
-# because the watchdog abandons goroutines and the checkpoint is shared
-# mutable state.
+# watchdog, checkpoint/resume, and the pinned experiment config hash that
+# existing checkpoints and journals resume under — under the race detector
+# and repeated, because the watchdog abandons goroutines and the checkpoint
+# is shared mutable state.
 lifecycle:
 	$(GO) test -race -count=2 ./internal/lifecycle/
 	$(GO) test -race -count=2 -run 'TestMapCtx|TestBudget|TestWatchdog|TestCheckpoint' ./internal/montecarlo/
 	$(GO) test -race -count=2 -run 'TestArmSample|TestArmed' ./internal/spice/
-	$(GO) test -race -count=2 -run 'TestRunPooledMCKillAndResume|TestHangSample' ./internal/experiments/
+	$(GO) test -race -count=2 -run 'TestRunPooledMCKillAndResume|TestHangSample|TestConfigHashStable' ./internal/experiments/
 
 # Batched lockstep engine rung: scalar-vs-batch bit identity (kernel and
 # whole-engine), lane eviction, the zero-allocation batched transient, and
@@ -47,12 +48,15 @@ batch:
 # Sharded-coordinator rung: the coordinator/worker protocol under the race
 # detector and repeated — the commit CAS, retry/backoff timers, straggler
 # speculation, and worker retirement all race by design — plus the full
-# fault-injection matrix (drop/delay/duplicate/corrupt/vanish) and the
+# fault-injection matrix (drop/delay/duplicate/corrupt/vanish), the
 # bit-identical-merge and cancellation contracts at the engine and
-# experiments layers.
+# experiments layers, and the HTTP handler's request-body bound
+# (TestHandlerRejectsOversizedBody, run with the package below, plus a
+# short fuzz over arbitrary POST bodies).
 shard:
 	$(GO) vet ./internal/shard/ ./cmd/vsshard/
 	$(GO) test -race -short -count=2 ./internal/shard/
+	$(GO) test -run xxx -fuzz FuzzShardHandler -fuzztime 10s ./internal/shard/
 	$(GO) test -race -count=2 -run 'TestSharded|TestBatchEvictionCancel' ./internal/experiments/
 	$(GO) test -race -count=2 -run 'TestOffset|TestBatchMidRunCancel|TestRecordedFailure|TestSyncDir' ./internal/montecarlo/
 
@@ -81,17 +85,6 @@ trace:
 	$(GO) test -race -count=1 -run 'TestBatchedPhaseSelfTimesCoverWall' ./internal/experiments/
 	$(GO) test -count=1 -run 'TestTracingDisabledArmedStepAllocFree|TestScopeForwardsSolverSpans' ./internal/spice/
 	$(GO) test -count=1 -run 'TestPrometheusGolden|TestHelpSurvives' ./internal/obs/
-
-# Compiled op-tape rung: the exact interpreter's bit-identity against the
-# scalar closed-form path (single evals, SoA batches, and full circuit MC),
-# the fastmath kernels' ULP budgets, tape-fast self-reproducibility across
-# worker counts and shard transports, kernel selection/binding, and the
-# zero-allocation guard on the tape evaluation hot path — under the race
-# detector where the lockstep engine shares per-worker tape slabs.
-tape:
-	$(GO) test -race ./internal/vsmodel/ -run 'TestTape|TestFastMath|TestKernel' -count=1
-	$(GO) test -race -count=1 -run 'TestTapeFastMCDeterminism|TestTapeExactMCMatchesDirect' ./internal/experiments/
-	$(GO) test -count=1 -run 'TestTapeZeroAlloc' ./internal/vsmodel/
 
 # Per-sample PRNG rung: the lazily seeded source's draw-for-draw identity
 # with math/rand (fixed streams plus a short fuzz over seeds, call mixes

@@ -69,7 +69,6 @@ func distFrom(h obs.HistSnap) distRecord {
 type unitRecord struct {
 	Unit                 string  `json:"unit"`
 	Mode                 string  `json:"mode"`
-	Kernel               string  `json:"kernel,omitempty"` // VS-model backend of every device in the row (-kernel)
 	LinearCore           string  `json:"linear_core"`
 	MatrixN              int     `json:"matrix_n"`
 	MatrixNNZ            int     `json:"matrix_nnz"`
@@ -138,35 +137,33 @@ type lifecycleRecord struct {
 
 // benchFile is the whole BENCH_mc.json document.
 type benchFile struct {
-	Generated   string            `json:"generated"`
-	GoVersion   string            `json:"go_version"`
-	Vdd         float64           `json:"vdd"`
-	Seed        int64             `json:"seed"`
-	ModelKernel string            `json:"model_kernel"`          // resolved -kernel used by the unit rows
-	Interrupt   string            `json:"interrupted,omitempty"` // set when the run was cancelled and the rows below are partial
-	Lifecycle   *lifecycleRecord  `json:"lifecycle,omitempty"`
-	ModelEval   []modelEvalRecord `json:"model_eval,omitempty"`
-	Units       []unitRecord      `json:"units"`
+	Generated string            `json:"generated"`
+	GoVersion string            `json:"go_version"`
+	Vdd       float64           `json:"vdd"`
+	Seed      int64             `json:"seed"`
+	Interrupt string            `json:"interrupted,omitempty"` // set when the run was cancelled and the rows below are partial
+	Lifecycle *lifecycleRecord  `json:"lifecycle,omitempty"`
+	ModelEval []modelEvalRecord `json:"model_eval,omitempty"`
+	Units     []unitRecord      `json:"units"`
 }
 
-// modelEvalRecord is one row of the raw model-kernel microbench: the cost of
+// modelEvalRecord is one row of the raw VS-model microbench: the cost of
 // one full derivative-bundle evaluation (current, charges, and every
-// first-order derivative, internal series-resistance solve included)
-// through the named VS kernel. Lanes 1 times the scalar EvalDerivs4 entry
-// point; higher widths time the SoA batch kernel with every lane Full.
+// first-order derivative, internal series-resistance solve included).
+// Lanes 1 times the scalar EvalDerivs4 entry point; higher widths time the
+// ParamsBatch SoA kernel with every lane Full.
 type modelEvalRecord struct {
-	Kernel      string  `json:"kernel"`
 	Lanes       int     `json:"lanes"`
 	Evals       int64   `json:"evals"`
 	NsPerEval   float64 `json:"ns_per_eval"`
 	EvalsPerSec float64 `json:"evals_per_sec"`
 }
 
-// measureModelEval times nEvals derivative-bundle evaluations of one VS
-// kernel over a fixed gate/drain bias grid on the 40-nm NMOS card, one
-// Pelgrom-perturbed statistical instance per lane so the batch rows carry
-// the same per-lane parameter diversity as a real lockstep MC.
-func measureModelEval(kern vsmodel.Kernel, lanes int, vdd float64, nEvals int) modelEvalRecord {
+// measureModelEval times nEvals VS derivative-bundle evaluations over a
+// fixed gate/drain bias grid on the 40-nm NMOS card, one Pelgrom-perturbed
+// statistical instance per lane so the batch rows carry the same per-lane
+// parameter diversity as a real lockstep MC.
+func measureModelEval(lanes int, vdd float64, nEvals int) modelEvalRecord {
 	rng := rand.New(rand.NewSource(40613))
 	inst := func() device.Device {
 		p := vsmodel.NMOS40(300e-9).WithGeometry(300e-9, 40e-9)
@@ -177,7 +174,7 @@ func measureModelEval(kern vsmodel.Kernel, lanes int, vdd float64, nEvals int) m
 			DMu:   rng.NormFloat64() * 0.002,
 			DCinv: rng.NormFloat64() * 0.0005,
 		}
-		return vsmodel.ForKernel(p, kern).(device.Varier).WithDeltas(d)
+		return p.WithDeltas(d)
 	}
 	const gridN = 16 // 16x16 gate/drain plane, vb = 0
 	bias := make([][2]float64, 0, gridN*gridN)
@@ -189,7 +186,7 @@ func measureModelEval(kern vsmodel.Kernel, lanes int, vdd float64, nEvals int) m
 			})
 		}
 	}
-	rec := modelEvalRecord{Kernel: kern.Resolve().String(), Lanes: lanes}
+	rec := modelEvalRecord{Lanes: lanes}
 	var sink float64
 	if lanes <= 1 {
 		nd := inst().(device.NativeDerivs)
@@ -200,7 +197,7 @@ func measureModelEval(kern vsmodel.Kernel, lanes int, vdd float64, nEvals int) m
 				sink += der.Id
 			}
 		}
-		run(len(bias)) // warm up (tape bind, branch predictors)
+		run(len(bias)) // warm up (branch predictors)
 		runtime.GC()
 		t0 := time.Now()
 		run(nEvals)
@@ -738,7 +735,6 @@ type benchLC struct {
 	ckDir  string
 	resume bool
 	vdd    float64
-	kernel string // resolved -kernel name, stamped on rows and counter attribution
 
 	// rec/runSpan/traceK drive the -trace-out flight recorder: each
 	// scalar-engine unit's distribution pass runs with a trace.MC under a
@@ -809,7 +805,6 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 	rec := unitRecord{
 		Unit:                     name,
 		Mode:                     mode,
-		Kernel:                   lc.kernel,
 		LinearCore:               core.String(),
 		MatrixN:                  mr.n,
 		MatrixNNZ:                mr.nnz,
@@ -844,7 +839,6 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 		defer obs.SetEnabled(false)
 		reg := obs.NewRegistry()
 		mi := experiments.NewMCInstr(reg)
-		mi.Kernel = lc.kernel
 		if bo != nil {
 			mi.Sink = bo.sink
 			bo.live.Store(reg)
@@ -873,7 +867,11 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 		rec.NewtonItersDist = &it
 		rec.PhaseNsDist = make(map[string]distRecord, obs.NumPhases)
 		for p := obs.Phase(0); p < obs.NumPhases; p++ {
-			rec.PhaseNsDist[p.String()] = distFrom(snap.Find("mc_phase_" + p.String() + "_ns"))
+			// A phase the unit never entered (device-eval-batch on the
+			// scalar engine) is left out rather than reported as zeros.
+			if h := snap.Find("mc_phase_" + p.String() + "_ns"); h.Sum != 0 {
+				rec.PhaseNsDist[p.String()] = distFrom(h)
+			}
 		}
 	}
 	return rec, nil
@@ -976,8 +974,7 @@ func main() {
 		shardSz  = flag.Int("shard-size", 16, "samples per shard for the sharded-coordinator INV/NAND2 rows (0 = skip those rows)")
 		shardEps = flag.Int("shard-endpoints", 2, "in-process loopback endpoints for the sharded rows")
 		coreSel  = flag.String("core", "both", "linear core: dense, sparse, or both (paired rows per unit)")
-		kernSel  = flag.String("kernel", "auto", "VS-model kernel for the MC unit rows: auto, direct, tape, or tape-fast (auto honours VSTAT_MODEL_KERNEL)")
-		modelB   = flag.Bool("model-bench", true, "microbench the raw model kernels (direct/tape/tape-fast at lanes 1 and 8) and record them under \"model_eval\" in -out")
+		modelB   = flag.Bool("model-bench", true, "microbench the raw VS model evaluation (lanes 1 and 8) and record it under \"model_eval\" in -out")
 		out      = flag.String("out", "BENCH_mc.json", "output JSON path")
 		seed     = flag.Int64("seed", 20130318, "master random seed")
 		vdd      = flag.Float64("vdd", 0.9, "nominal supply voltage")
@@ -1106,15 +1103,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	kern, err := vsmodel.ParseKernel(*kernSel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vsbench: -kernel: %v\n", err)
-		os.Exit(2)
-	}
-	lc.kernel = kern.Resolve().String()
-
 	m := core.DefaultStatVS()
-	m.Kernel = kern
 	sz := circuits.Sizing{WP: 600e-9, WN: 300e-9, L: 40e-9}
 	invBuild := func(vdd float64, sz circuits.Sizing, f circuits.Factory, fast bool) (*circuits.PooledGate, error) {
 		return circuits.NewPooledInverterFO(3, vdd, sz, f, fast)
@@ -1168,11 +1157,10 @@ func main() {
 	}
 
 	doc := benchFile{
-		Generated:   time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		Vdd:         *vdd,
-		Seed:        *seed,
-		ModelKernel: lc.kernel,
+		Generated: time.Now().UTC().Format(time.RFC3339),
+		GoVersion: runtime.Version(),
+		Vdd:       *vdd,
+		Seed:      *seed,
 	}
 	// writeOut lands whatever rows exist in -out (plus the -metrics-out
 	// snapshots), so an interrupted bench keeps its completed units.
@@ -1260,17 +1248,15 @@ func main() {
 	}
 
 	if *modelB {
-		// Raw-kernel microbench: the same derivative bundle through every
-		// backend, scalar and 8-lane SoA, so BENCH_mc.json records the
-		// kernels' relative cost independent of solver and circuit effects.
+		// Raw model microbench: the derivative bundle, scalar and 8-lane
+		// SoA, so BENCH_mc.json records the VS evaluation cost independent
+		// of solver and circuit effects.
 		const evalsPerRow = 200_000
-		for _, k := range []vsmodel.Kernel{vsmodel.KernelDirect, vsmodel.KernelTape, vsmodel.KernelTapeFast} {
-			for _, lw := range []int{1, 8} {
-				rec := measureModelEval(k, lw, *vdd, evalsPerRow)
-				fmt.Printf("model-eval  %-10s K%-2d  %8.1f ns/eval  %10.0f evals/sec\n",
-					rec.Kernel, rec.Lanes, rec.NsPerEval, rec.EvalsPerSec)
-				doc.ModelEval = append(doc.ModelEval, rec)
-			}
+		for _, lw := range []int{1, 8} {
+			rec := measureModelEval(lw, *vdd, evalsPerRow)
+			fmt.Printf("model-eval  K%-2d  %8.1f ns/eval  %10.0f evals/sec\n",
+				rec.Lanes, rec.NsPerEval, rec.EvalsPerSec)
+			doc.ModelEval = append(doc.ModelEval, rec)
 		}
 	}
 

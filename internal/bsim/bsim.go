@@ -74,9 +74,9 @@ func (p *Params) Eta(leff float64) float64 {
 	return p.Eta0 * math.Exp((p.LRef-leff)/p.LEta)
 }
 
-// WithDeltas implements device.Varier. The statistical deltas perturb the
-// golden model's native parameters: DVT0→Vth0, DL→Leff, DW→Weff, DMu→U0,
-// DCinv→Cox.
+// WithDeltas returns an independent statistical instance. The deltas
+// perturb the golden model's native parameters: DVT0→Vth0, DL→Leff,
+// DW→Weff, DMu→U0, DCinv→Cox.
 func (p *Params) WithDeltas(d device.Deltas) device.Device {
 	q := *p
 	q.Vth0 += d.DVT0

@@ -25,12 +25,6 @@ import (
 type StatVS struct {
 	NMOS, PMOS     vsmodel.Params // nominal cards (geometry retargeted per instance)
 	AlphaN, AlphaP variation.Alphas
-
-	// Kernel selects the VS evaluation backend every produced instance is
-	// wrapped in: direct scalar+SoA (the zero-value default, via the
-	// VSTAT_MODEL_KERNEL override), the exact compiled op tape, or the
-	// fastmath tape. See vsmodel.Kernel.
-	Kernel vsmodel.Kernel
 }
 
 // DefaultStatVS returns the nominal 40-nm cards with zero-variation
@@ -61,7 +55,8 @@ func (m *StatVS) Card(k device.Kind, w, l float64) vsmodel.Params {
 // Nominal returns a factory producing unperturbed instances.
 func (m *StatVS) Nominal() circuits.Factory {
 	return func(k device.Kind, w, l float64) device.Device {
-		return vsmodel.ForKernel(m.Card(k, w, l), m.Kernel)
+		p := m.Card(k, w, l)
+		return &p
 	}
 }
 
@@ -70,7 +65,7 @@ func (m *StatVS) Nominal() circuits.Factory {
 func (m *StatVS) Statistical(rng *rand.Rand) circuits.Factory {
 	return func(k device.Kind, w, l float64) device.Device {
 		p := m.Card(k, w, l).ApplyDeltas(m.Alphas(k).Sample(rng, w, l))
-		return vsmodel.ForKernel(p, m.Kernel)
+		return &p
 	}
 }
 

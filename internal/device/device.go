@@ -88,13 +88,6 @@ type Deltas struct {
 	DCinv float64 // F/m²
 }
 
-// Varier is a Device whose parameters can be perturbed by local-mismatch
-// deltas, yielding an independent statistical instance.
-type Varier interface {
-	Device
-	WithDeltas(d Deltas) Device
-}
-
 // FDStep is the voltage step used by the finite-difference derivative
 // helpers. It is large enough to dominate float64 cancellation on
 // femto-coulomb charges and small enough that model curvature over the step

@@ -188,3 +188,18 @@ func TestHangSampleReclassifiedWithoutStallingSiblings(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigHashStable pins the hash that run checkpoints and shard
+// journals carry, for the default exact and fast configurations. A change
+// here orphans every existing checkpoint and journal: resume rejects them
+// as foreign.
+func TestConfigHashStable(t *testing.T) {
+	cfg := DefaultConfig()
+	if got, want := cfg.configHash(), "81c79f6d7b4d8c042ecb68ba39a2c728d78d9d94c5d568d6dda5c1e219b54f3c"; got != want {
+		t.Fatalf("exact config hash = %s, want %s", got, want)
+	}
+	cfg.FastMC = true
+	if got, want := cfg.configHash(), "a83cb7762b36e887705e89f48b8fda9ae9d45c1a3e0d1182335b1d99d89075f9"; got != want {
+		t.Fatalf("fast config hash = %s, want %s", got, want)
+	}
+}

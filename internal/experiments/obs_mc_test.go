@@ -36,7 +36,8 @@ func phaseTotalNS(snap obs.Snapshot) int64 {
 // per-phase self-times must sum to the run's wall time within 10% at
 // workers=1 (the phases are disjoint and cover everything but the template
 // build), every phase histogram must hold exactly one observation per
-// sample, and the sampled delays must be bit-identical to an
+// sample, the model-evaluation counter must be non-zero and the same at
+// every worker count, and the sampled delays must be bit-identical to an
 // uninstrumented run.
 func TestMCObservabilityAcceptance(t *testing.T) {
 	if testing.Short() {
@@ -53,6 +54,7 @@ func TestMCObservabilityAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var evals int64 // model_evals_total at workers=1
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		mi := NewMCInstr(reg)
@@ -71,6 +73,15 @@ func TestMCObservabilityAcceptance(t *testing.T) {
 		snap := reg.Snapshot()
 		if c := snap.FindCounter("mc_samples_total"); c != n {
 			t.Fatalf("workers=%d: mc_samples_total = %d, want %d", workers, c, n)
+		}
+		ev := snap.FindCounter("model_evals_total")
+		if ev <= 0 {
+			t.Fatalf("workers=%d: model_evals_total = %d, want > 0", workers, ev)
+		}
+		if evals == 0 {
+			evals = ev
+		} else if ev != evals {
+			t.Fatalf("model_evals_total = %d at workers=%d, %d at workers=1", ev, workers, evals)
 		}
 		for p := obs.Phase(0); p < obs.NumPhases; p++ {
 			h := snap.Find("mc_phase_" + p.String() + "_ns")

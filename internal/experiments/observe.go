@@ -52,31 +52,18 @@ type MCInstr struct {
 	// Progress, when set, is fed the per-sample rescue tallies (the
 	// run-level ticks come from montecarlo.SetProgress).
 	Progress *obs.Progress
-	// Kernel, when set to a vsmodel kernel name ("direct", "tape",
-	// "tape-fast"), pre-routes every new worker's model-evaluation deltas
-	// to that kernel's counter; workers may override via SetKernel.
-	Kernel string
 
 	newtonIters  obs.HistID
 	jacRefreshes obs.HistID
 	samples      obs.CounterID
 	budgetOver   obs.CounterID
 	cancelled    obs.CounterID
+	modelEvals   obs.CounterID
 	rescueIDs    [7]obs.CounterID
 
 	batchEvicted   obs.CounterID
 	batchOccupancy obs.GaugeID
-
-	// Per-kernel model-evaluation totals, in modelKernels order; a worker's
-	// SampleObs routes its ModelEvals deltas to the counter selected by
-	// SetKernel (direct when never set).
-	modelEvalIDs [3]obs.CounterID
 }
-
-// modelKernels mirrors the vsmodel.Kernel backend names; counter i is
-// "model_evals_total_<kernel>" (with "-" mangled to "_" for scrape
-// friendliness).
-var modelKernels = [3]string{"direct", "tape", "tape_fast"}
 
 // NewtonIterBounds is the bucket layout for per-sample Newton iteration
 // counts (geometric, 8 to ~3·10^5).
@@ -90,28 +77,23 @@ func NewMCInstr(reg *obs.Registry) *MCInstr {
 	mi.samples = reg.Counter("mc_samples_total")
 	mi.budgetOver = reg.Counter("mc_samples_budget_total")
 	mi.cancelled = reg.Counter("mc_samples_cancelled_total")
+	mi.modelEvals = reg.Counter("model_evals_total")
 	for i, st := range rescueStages {
 		mi.rescueIDs[i] = reg.Counter("mc_rescue_" + st + "_total")
 	}
 	mi.batchEvicted = reg.Counter("mc_batch_lanes_evicted_total")
 	mi.batchOccupancy = reg.Gauge("mc_batch_lane_occupancy_pct")
-	for i, k := range modelKernels {
-		mi.modelEvalIDs[i] = reg.Counter("model_evals_total_" + k)
-	}
 	reg.SetHelp("mc_newton_iters", "Newton iterations per Monte Carlo sample.")
 	reg.SetHelp("mc_jac_refreshes", "Jacobian factorizations per Monte Carlo sample.")
 	reg.SetHelp("mc_samples_total", "Monte Carlo samples completed.")
 	reg.SetHelp("mc_samples_budget_total", "Samples that failed over their solver budget (wall, iteration cap, or hang watchdog).")
 	reg.SetHelp("mc_samples_cancelled_total", "In-flight samples drained by a run cancellation.")
+	reg.SetHelp("model_evals_total", "MOSFET compact-model evaluations (scalar calls and batched SoA lanes alike).")
 	for _, st := range rescueStages {
 		reg.SetHelp("mc_rescue_"+st+"_total", "Samples rescued by the "+st+" solver ladder stage.")
 	}
 	reg.SetHelp("mc_batch_lanes_evicted_total", "Lanes evicted from the K-lane lockstep path to the scalar engine.")
 	reg.SetHelp("mc_batch_lane_occupancy_pct", "Average filled-lane occupancy of the batched engine, in percent.")
-	for _, k := range modelKernels {
-		reg.SetHelp("model_evals_total_"+k,
-			"MOSFET compact-model evaluations through the "+k+" kernel (scalar calls and batched SoA lanes alike).")
-	}
 	return mi
 }
 
@@ -139,9 +121,7 @@ func (mi *MCInstr) NewWorker() *SampleObs {
 		return nil
 	}
 	sc.SetEvents(mi.Sink)
-	so := &SampleObs{mi: mi, sc: sc}
-	so.SetKernel(mi.Kernel)
-	return so
+	return &SampleObs{mi: mi, sc: sc}
 }
 
 // RecordRunLifecycle flushes a finished run's lifecycle outcomes into the
@@ -186,27 +166,9 @@ func RescuedCounters(snap obs.Snapshot) map[string]int64 {
 // aggregates, making registry counters and the run report agree for any
 // worker count. Not safe for concurrent use (one worker goroutine each).
 type SampleObs struct {
-	mi     *MCInstr
-	sc     *obs.Scope
-	prev   spice.SolverStats
-	kernel int // index into modelKernels (0 = direct)
-}
-
-// SetKernel routes this worker's model-evaluation deltas to the named
-// kernel's counter ("direct", "tape" or "tape-fast"/"tape_fast"); unknown
-// names keep the current attribution. Nil-safe.
-func (so *SampleObs) SetKernel(name string) {
-	if so == nil {
-		return
-	}
-	switch name {
-	case "direct":
-		so.kernel = 0
-	case "tape":
-		so.kernel = 1
-	case "tape-fast", "tape_fast":
-		so.kernel = 2
-	}
+	mi   *MCInstr
+	sc   *obs.Scope
+	prev spice.SolverStats
 }
 
 // Scope returns the worker's phase-timing scope (nil on a nil handle).
@@ -246,7 +208,7 @@ func (so *SampleObs) End(st spice.SolverStats) {
 	sh.Observe(mi.jacRefreshes, st.JacRefreshes-so.prev.JacRefreshes)
 	sh.Add(mi.samples, 1)
 	if d := st.ModelEvals - so.prev.ModelEvals; d != 0 {
-		sh.Add(mi.modelEvalIDs[so.kernel], d)
+		sh.Add(mi.modelEvals, d)
 	}
 	var rescued int64
 	for i, d := range rescueDeltas(st, so.prev) {
@@ -274,7 +236,7 @@ func (so *SampleObs) EndBatch(lanes int, st spice.SolverStats) {
 	sh.Observe(mi.jacRefreshes, st.JacRefreshes-so.prev.JacRefreshes)
 	sh.Add(mi.samples, int64(lanes))
 	if d := st.ModelEvals - so.prev.ModelEvals; d != 0 {
-		sh.Add(mi.modelEvalIDs[so.kernel], d)
+		sh.Add(mi.modelEvals, d)
 	}
 	var rescued int64
 	for i, d := range rescueDeltas(st, so.prev) {

@@ -49,12 +49,6 @@ type Config struct {
 	// waveform deviations bounded by the Newton tolerances.
 	FastMC bool
 
-	// ModelKernel selects the VS-model evaluation backend for every device
-	// the suite's statistical VS model builds: direct closed-form,
-	// compiled op tape (bit-identical to direct), or the fastmath tape.
-	// The zero value (KernelAuto) honours VSTAT_MODEL_KERNEL.
-	ModelKernel vsmodel.Kernel
-
 	// Policy selects how circuit Monte Carlo runs treat failing samples.
 	// The zero value (FailFast) aborts an experiment on the first bad
 	// sample; montecarlo.SkipUpTo tolerates a bounded failure fraction,
@@ -149,14 +143,13 @@ func (c Config) runOpts() montecarlo.RunOpts {
 	}
 }
 
-// configHash keys the checkpoints of this configuration: any change to the
-// statistical population (seed, scale, supply, solver path, model kernel)
-// rejects resume. The kernel is hashed resolved, so an explicit
-// Kernel=direct and an auto default that resolves to direct share
-// checkpoints, while a tape-fast run (different sampled values) never
-// merges with an exact one.
+// configHash keys the checkpoints and shard journals of this
+// configuration: any change to the statistical population (seed, scale,
+// supply, solver path) rejects resume. The trailing "direct" names the VS
+// evaluation path and keeps the hash equal to the one existing
+// checkpoints and journals carry (TestConfigHashStable).
 func (c Config) configHash() string {
-	return montecarlo.ConfigHash(c.Seed, c.Scale, c.Vdd, c.FastMC, c.ModelKernel.Resolve().String())
+	return montecarlo.ConfigHash(c.Seed, c.Scale, c.Vdd, c.FastMC, "direct")
 }
 
 // openCkpt opens the named checkpoint for an n-sample run under cfg, or
@@ -360,12 +353,10 @@ type Suite struct {
 // measurement, and the joint BPV solve.
 func NewSuite(cfg Config) (*Suite, error) {
 	s := &Suite{Cfg: cfg, Golden: core.DefaultStatGolden(), VS: core.DefaultStatVS()}
-	s.VS.Kernel = cfg.ModelKernel
 	if cfg.Metrics != nil && obs.Enabled() {
 		s.instr = NewMCInstr(cfg.Metrics)
 		s.instr.Sink = cfg.Trace
 		s.instr.Progress = cfg.Progress
-		s.instr.Kernel = cfg.ModelKernel.Resolve().String()
 		// Let runPooledMC flush run-level lifecycle counters without
 		// every call site threading the bundle through.
 		s.Cfg.instr = s.instr

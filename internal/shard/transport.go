@@ -50,6 +50,11 @@ const (
 	headerFatal    = "X-Vstat-Fatal"
 )
 
+// maxRequestBytes bounds a POST /shard body. A Request encodes to a few
+// hundred bytes; anything past this is refused with 413 before the
+// executor runs, so a client cannot make the handler buffer unbounded JSON.
+const maxRequestBytes = 1 << 20
+
 // Gate is a worker's drain switch. Serve traffic while open; after Drain
 // (SIGTERM) every new shard request and health probe is rejected with the
 // typed retryable draining error while in-flight work runs to completion.
@@ -176,7 +181,8 @@ func Handler[T any](exec ExecFn[T]) http.Handler {
 // re-dispatches to a worker that is still open. Executor errors map onto
 // the taxonomy too: a FatalError (config mismatch) becomes 409 + the fatal
 // header so the coordinator retires the endpoint instead of retrying a
-// request that can never succeed there.
+// request that can never succeed there. A body that does not decode is a
+// 400, and one longer than maxRequestBytes a 413; neither reaches exec.
 func GatedHandler[T any](exec ExecFn[T], gate *Gate) http.Handler {
 	mux := http.NewServeMux()
 	rejectDraining := func(w http.ResponseWriter) bool {
@@ -202,8 +208,13 @@ func GatedHandler[T any](exec ExecFn[T], gate *Gate) http.Handler {
 			return
 		}
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		env, err := exec(r.Context(), req)

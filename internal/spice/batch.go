@@ -139,8 +139,6 @@ func (b *BatchSim) SetObs(sc *obs.Scope) {
 // (Restat) are always picked up; a device whose concrete type the model
 // kernel cannot batch demotes that position to the scalar-loop fallback.
 func (b *BatchSim) Rebind() {
-	b.obsScope.Enter(obs.PhaseTapeBind)
-	defer b.obsScope.Exit()
 	for i := range b.devs {
 		for l, c := range b.lanes {
 			if !b.devs[i].SetLane(l, c.MOSDevice(i)) {
@@ -286,9 +284,9 @@ func (b *BatchSim) TransientBatch(live int, opts TranOpts, guesses [][]float64, 
 		return opts.Guess
 	}
 
-	b.Rebind()
 	b.obsScope.Enter(obs.PhaseSolve)
 	defer b.obsScope.Exit()
+	b.Rebind()
 
 	// Per-lane preamble, mirroring TransientInto: scratch sizing, zero
 	// state, then either UIC initial conditions or the plain-Newton rung of

@@ -149,8 +149,8 @@ func (p Params) ApplyDeltas(d device.Deltas) Params {
 	return p
 }
 
-// WithDeltas implements device.Varier, returning an independent statistical
-// instance.
+// WithDeltas returns an independent statistical instance perturbed by the
+// local-mismatch deltas.
 func (p *Params) WithDeltas(d device.Deltas) device.Device {
 	q := p.ApplyDeltas(d)
 	return &q
