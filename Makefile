@@ -25,16 +25,17 @@ obs:
 sparse:
 	$(GO) test -race ./internal/linalg/ ./internal/spice/ -count=1
 
-# Run-lifecycle rung: context cancellation, per-sample budgets, the hang
-# watchdog, checkpoint/resume, and the pinned experiment config hash that
-# existing checkpoints and journals resume under — under the race detector
-# and repeated, because the watchdog abandons goroutines and the checkpoint
-# is shared mutable state.
+# Run-lifecycle rung: context cancellation (device-level experiments
+# included), per-sample budgets, the hang watchdog, checkpoint/resume, a
+# worker state error aborting the run before any sample runs, and the
+# pinned experiment config hash that existing checkpoints and journals
+# resume under — under the race detector and repeated, because the watchdog
+# abandons goroutines and the checkpoint is shared mutable state.
 lifecycle:
 	$(GO) test -race -count=2 ./internal/lifecycle/
-	$(GO) test -race -count=2 -run 'TestMapCtx|TestBudget|TestWatchdog|TestCheckpoint' ./internal/montecarlo/
+	$(GO) test -race -count=2 -run 'TestMapCtx|TestBudget|TestWatchdog|TestCheckpoint|TestMapPooledStateError' ./internal/montecarlo/
 	$(GO) test -race -count=2 -run 'TestArmSample|TestArmed' ./internal/spice/
-	$(GO) test -race -count=2 -run 'TestRunPooledMCKillAndResume|TestHangSample|TestConfigHashStable' ./internal/experiments/
+	$(GO) test -race -count=2 -run 'TestRunPooledMCKillAndResume|TestHangSample|TestConfigHashStable|TestDeviceMCHonoursCtx' ./internal/experiments/
 
 # Batched lockstep engine rung: scalar-vs-batch bit identity (kernel and
 # whole-engine), lane eviction, the zero-allocation batched transient, and
@@ -112,9 +113,9 @@ tier2: vet
 	$(GO) test -race ./...
 
 # Race detector over the concurrency-bearing packages: the Monte Carlo
-# driver (failure policies, panic recovery, report aggregation, the
-# context-aware *Ctx variants with their hang watchdog and checkpoint
-# sink), the solver rescue ladder, and the pooled experiment plumbing.
+# engine (failure policies, panic recovery, report aggregation,
+# cancellation, the hang watchdog and the checkpoint sink), the solver
+# rescue ladder, and the pooled experiment plumbing.
 race:
 	$(GO) test -race ./internal/montecarlo/ ./internal/spice/ ./internal/obs/ -count=1
 	$(GO) test -race ./internal/experiments/ -run 'TestMap|TestPooled|TestFault|TestFail|TestMCRescue|TestRunPooledMC|TestHangSample' -count=1

@@ -11,6 +11,7 @@
 package vstat_bench
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -337,7 +338,7 @@ func BenchmarkAblationBPVUnconstrained(b *testing.B) {
 // Monte Carlo driver overhead.
 func BenchmarkAblationMCDriver(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := montecarlo.Scalars(64, 1, 0, func(idx int, rng *rand.Rand) (float64, error) {
+		_, err := montecarlo.MapCtx(context.Background(), 64, 1, 0, func(idx int, rng *rand.Rand) (float64, error) {
 			return rng.NormFloat64(), nil
 		})
 		if err != nil {

@@ -80,8 +80,9 @@ func main() {
 				trace.CatMCRun, runSpan.ID())
 			opts.Trace = trace.NewMC(rec, fmt.Sprintf("golden-%d", gi), gSpan.ID(), *traceK)
 		}
-		samples, _, err := montecarlo.MapReportCtx(context.Background(), *n, *seed+int64(gi)*7919, 0, opts,
-			func(idx int, rng *rand.Rand) ([]float64, error) {
+		samples, _, err := montecarlo.MapPooledReportCtx(context.Background(), *n, *seed+int64(gi)*7919, 0, opts,
+			func(int) (struct{}, error) { return struct{}{}, nil },
+			func(_ struct{}, idx int, rng *rand.Rand) ([]float64, error) {
 				return tg.EvalVec(golden.SampleDevice(rng, kind, g[0], g[1])), nil
 			})
 		if opts.Trace != nil {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -31,7 +32,7 @@ func main() {
 	fmt.Printf("%8s %12s %10s %10s %12s %12s\n",
 		"Vdd (V)", "mean (ps)", "sd (ps)", "sd/mean", "skewness", "QQ nonlin")
 	for _, vdd := range []float64{0.9, 0.7, 0.55} {
-		delays, err := montecarlo.Scalars(*n, int64(vdd*1000), 0,
+		delays, err := montecarlo.MapCtx(context.Background(), *n, int64(vdd*1000), 0,
 			func(idx int, rng *rand.Rand) (float64, error) {
 				b := circuits.NAND2FO(3, vdd, sz, stat.Statistical(rng))
 				res, err := b.Ckt.Transient(spice.TranOpts{Stop: 560e-12, Step: 1.5e-12})

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -33,7 +34,7 @@ func main() {
 
 	sz := circuits.Sizing{WP: 600e-9, WN: 300e-9, L: 40e-9}
 	run := func(m core.StatModel, seed int64) []float64 {
-		out, err := montecarlo.Scalars(*n, seed, 0, func(idx int, rng *rand.Rand) (float64, error) {
+		out, err := montecarlo.MapCtx(context.Background(), *n, seed, 0, func(idx int, rng *rand.Rand) (float64, error) {
 			b := circuits.InverterFO(3, 0.9, sz, m.Statistical(rng))
 			res, err := b.Ckt.Transient(spice.TranOpts{Stop: 560e-12, Step: 1.5e-12})
 			if err != nil {

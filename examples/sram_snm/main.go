@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -44,7 +45,7 @@ func main() {
 	}
 
 	// Monte Carlo HOLD SNM.
-	snms, err := montecarlo.Scalars(*n, 7, 0, func(idx int, rng *rand.Rand) (float64, error) {
+	snms, err := montecarlo.MapCtx(context.Background(), *n, 7, 0, func(idx int, rng *rand.Rand) (float64, error) {
 		c := circuits.NewSRAMCell(0.9, circuits.DefaultSRAMSizing(), stat.Statistical(rng))
 		l, r, err := c.Butterfly(false, 41)
 		if err != nil {

@@ -1,6 +1,7 @@
 package bpv
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -164,7 +165,7 @@ func TestRoundTripMonteCarlo(t *testing.T) {
 
 	var data []GeometryVariance
 	for gi, g := range standardGeometries() {
-		samples, err := montecarlo.Map(n, int64(1000+gi), 0, func(idx int, rng *rand.Rand) ([]float64, error) {
+		samples, err := montecarlo.MapCtx(context.Background(), n, int64(1000+gi), 0, func(idx int, rng *rand.Rand) ([]float64, error) {
 			d := truth.Sample(rng, g[0], g[1])
 			inst := card.WithGeometry(g[0], g[1]).ApplyDeltas(d)
 			return tg.EvalVec(&inst), nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,7 +45,7 @@ func TestStatVSSampleStatisticsMatchAlphas(t *testing.T) {
 	tg := bpv.Targets{Vdd: 0.9}
 	w, l := 600e-9, 40e-9
 
-	samples, err := montecarlo.Map(1200, 5, 0, func(idx int, rng *rand.Rand) ([]float64, error) {
+	samples, err := montecarlo.MapCtx(context.Background(), 1200, 5, 0, func(idx int, rng *rand.Rand) ([]float64, error) {
 		d := m.SampleDevice(rng, device.NMOS, w, l)
 		return tg.EvalVec(d), nil
 	})
@@ -69,7 +70,7 @@ func TestStatVSSampleStatisticsMatchAlphas(t *testing.T) {
 func TestStatGoldenProducesVariation(t *testing.T) {
 	g := DefaultStatGolden()
 	tg := bpv.Targets{Vdd: 0.9}
-	samples, err := montecarlo.Map(800, 9, 0, func(idx int, rng *rand.Rand) ([]float64, error) {
+	samples, err := montecarlo.MapCtx(context.Background(), 800, 9, 0, func(idx int, rng *rand.Rand) ([]float64, error) {
 		d := g.SampleDevice(rng, device.NMOS, 600e-9, 40e-9)
 		return tg.EvalVec(d), nil
 	})

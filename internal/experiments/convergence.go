@@ -40,7 +40,7 @@ func (s *Suite) ExtNConv() (ExtNConvResult, error) {
 			var data []bpv.GeometryVariance
 			for gi, g := range ExtractionGeometries {
 				seed := s.Cfg.Seed + int64(1e6*rep) + int64(31*gi) + int64(n)
-				samples, err := montecarlo.Map(n, seed, s.Cfg.Workers,
+				samples, err := montecarlo.MapCtx(s.Cfg.ctx(), n, seed, s.Cfg.Workers,
 					func(idx int, rng *rand.Rand) ([]float64, error) {
 						return tg.EvalVec(s.Golden.SampleDevice(rng, device.NMOS, g[0], g[1])), nil
 					})

@@ -220,7 +220,7 @@ func (s *Suite) Table3() (Table3Result, error) {
 			run := func(m interface {
 				SampleDevice(*rand.Rand, device.Kind, float64, float64) device.Device
 			}, seed int64) ([]float64, []float64, error) {
-				samples, err := montecarlo.Map(n, seed, s.Cfg.Workers,
+				samples, err := montecarlo.MapCtx(s.Cfg.ctx(), n, seed, s.Cfg.Workers,
 					func(idx int, rng *rand.Rand) ([]float64, error) {
 						return tg.EvalVec(m.SampleDevice(rng, k, g.W, g.L)), nil
 					})
@@ -284,7 +284,7 @@ func (s *Suite) Fig4() (Fig4Result, error) {
 	w, l := 600e-9, 40e-9
 	res := Fig4Result{N: n}
 	run := func(m core.StatModel, seed int64) ([]float64, []float64, error) {
-		samples, err := montecarlo.Map(n, seed, s.Cfg.Workers,
+		samples, err := montecarlo.MapCtx(s.Cfg.ctx(), n, seed, s.Cfg.Workers,
 			func(idx int, rng *rand.Rand) ([]float64, error) {
 				return tg.EvalVec(m.SampleDevice(rng, device.NMOS, w, l)), nil
 			})

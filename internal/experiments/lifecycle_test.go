@@ -203,3 +203,26 @@ func TestConfigHashStable(t *testing.T) {
 		t.Fatalf("fast config hash = %s, want %s", got, want)
 	}
 }
+
+// TestDeviceMCHonoursCtx pins that the device-level Monte Carlo experiments
+// (Table III, Fig. 4 and the extraction-convergence study) stop on a
+// cancelled Config.Ctx like the circuit experiments do, instead of running
+// to completion.
+func TestDeviceMCHonoursCtx(t *testing.T) {
+	s := *testSuite(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Cfg.Ctx = ctx
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Table3", func() error { _, err := s.Table3(); return err }},
+		{"Fig4", func() error { _, err := s.Fig4(); return err }},
+		{"ExtNConv", func() error { _, err := s.ExtNConv(); return err }},
+	} {
+		if err := c.run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context returned %v, want an error wrapping context.Canceled", c.name, err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"maps"
 	"math/rand"
@@ -177,7 +178,7 @@ func TestMCRescueCountersMatchReportExactly(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		mi := NewMCInstr(reg)
-		_, rep, err := montecarlo.MapPooledReport(n, seed, workers, montecarlo.SkipUpTo(0.05),
+		_, rep, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, workers, montecarlo.RunOpts{Policy: montecarlo.SkipUpTo(0.05)},
 			newObsState(mi, newBench),
 			func(st obsState[*circuits.PooledGate], idx int, rng *rand.Rand) (float64, error) {
 				b, so := st.B, st.So

@@ -294,7 +294,7 @@ func (s obsState[B]) SolverWork() (iters, rescues int64) {
 	return 0, 0
 }
 
-// newObsState wraps a bench builder into a MapPooledReport newState that
+// newObsState wraps a bench builder into a MapPooledReportCtx newState that
 // attaches per-worker instrumentation when mi is live.
 func newObsState[B obsBench](mi *MCInstr, build func() (B, error)) func(int) (obsState[B], error) {
 	return func(int) (obsState[B], error) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -26,7 +27,7 @@ func TestPooledInvDelayBitIdentical(t *testing.T) {
 	m := core.DefaultStatVS()
 	const n = 8
 	const seed = int64(1234)
-	want, err := montecarlo.Map(n, seed, 1, func(idx int, rng *rand.Rand) (float64, error) {
+	want, err := montecarlo.MapCtx(context.Background(), n, seed, 1, func(idx int, rng *rand.Rand) (float64, error) {
 		return invDelaySample(m, rng, poolTestVdd, poolTestSizing())
 	})
 	if err != nil {
@@ -51,7 +52,7 @@ func TestPooledNandDelayBitIdentical(t *testing.T) {
 	m := core.DefaultStatVS()
 	const n = 4
 	const seed = int64(77)
-	want, err := montecarlo.Map(n, seed, 1, func(idx int, rng *rand.Rand) (float64, error) {
+	want, err := montecarlo.MapCtx(context.Background(), n, seed, 1, func(idx int, rng *rand.Rand) (float64, error) {
 		return nandDelaySample(m, rng, poolTestVdd, poolTestSizing())
 	})
 	if err != nil {
@@ -79,7 +80,7 @@ func TestPooledSNMBitIdentical(t *testing.T) {
 	m := core.DefaultStatVS()
 	const n = 4
 	const seed = int64(99)
-	want, err := montecarlo.Map(n, seed, 1, func(idx int, rng *rand.Rand) ([2]float64, error) {
+	want, err := montecarlo.MapCtx(context.Background(), n, seed, 1, func(idx int, rng *rand.Rand) ([2]float64, error) {
 		r, h, err := snmSample(m, rng, poolTestVdd)
 		return [2]float64{r, h}, err
 	})
@@ -87,7 +88,7 @@ func TestPooledSNMBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		got, err := montecarlo.MapPooled(n, seed, workers,
+		got, _, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, workers, montecarlo.RunOpts{},
 			func(int) (*circuits.PooledSRAM, error) {
 				return circuits.NewPooledSRAM(poolTestVdd, circuits.DefaultSRAMSizing(),
 					m.Nominal(), butterflyPoints, false), nil
@@ -113,14 +114,14 @@ func TestPooledSetupTimeBitIdentical(t *testing.T) {
 	const n = 2
 	const seed = int64(55)
 	opts := measure.DefaultSetupOpts()
-	want, err := montecarlo.Map(n, seed, 1, func(idx int, rng *rand.Rand) (float64, error) {
+	want, err := montecarlo.MapCtx(context.Background(), n, seed, 1, func(idx int, rng *rand.Rand) (float64, error) {
 		ff := circuits.NewDFF(poolTestVdd, circuits.DefaultDFFSizing(), m.Statistical(rng))
 		return measure.SetupTime(ff, opts)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := montecarlo.MapPooled(n, seed, 2,
+	got, _, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, 2, montecarlo.RunOpts{},
 		func(int) (*circuits.PooledDFF, error) {
 			return circuits.NewPooledDFF(poolTestVdd, circuits.DefaultDFFSizing(), m.Nominal(), false), nil
 		},
@@ -190,7 +191,7 @@ func TestPooledFastSetupAccuracy(t *testing.T) {
 	const seed = int64(808)
 	opts := measure.DefaultSetupOpts()
 	setup := func(fast bool) []float64 {
-		out, err := montecarlo.MapPooled(n, seed, 2,
+		out, _, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, 2, montecarlo.RunOpts{},
 			func(int) (*circuits.PooledDFF, error) {
 				return circuits.NewPooledDFF(poolTestVdd, circuits.DefaultDFFSizing(), m.Nominal(), fast), nil
 			},

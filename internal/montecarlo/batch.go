@@ -1,32 +1,39 @@
 package montecarlo
 
-// Batched Monte Carlo engine: MapPooledBatchReportCtx is MapPooledReportCtx
-// with each worker claiming a contiguous block of up to `lanes` sample
-// indices per trip to the shared atomic counter and processing the block in
-// one call — the seam the lockstep SoA device-evaluation path (spice.BatchSim)
-// plugs into. Determinism is unchanged: a sample's RNG is still derived from
-// (seed, idx) alone, so the value computed for index idx is independent of
-// worker count, lane width, and claim interleaving.
+// The Monte Carlo engine. MapPooledBatchReportCtx is its one body;
+// MapPooledReportCtx is its one-lane case and MapCtx the stateless one.
+// Each worker builds one pooled state, then claims contiguous blocks of up
+// to `lanes` sample indices from a shared atomic counter and runs each
+// block in one call — the seam the lockstep SoA device-evaluation path
+// (spice.BatchSim) plugs into. A sample's RNG is derived from (seed, idx)
+// alone, so its value is independent of worker count, lane width, and claim
+// interleaving.
 //
-// Lifecycle semantics carry over lane-wise:
-//
-//   - Cancellation: a lane whose solve is interrupted by ctx reports a
-//     cancellation error and is counted in RunReport.Interrupted (recorded
-//     nowhere, re-run on resume), exactly like a scalar in-flight sample.
-//   - Budget: each lane is armed individually (BatchSampleArmer) right
-//     before the batch call, so per-sample iteration/wall budgets apply per
-//     lane. All lanes of a batch share one arming instant; because every
-//     lane's cooperative deadline then expires at batch-start + Wall, a
-//     batch's legitimate wall time is bounded like a single sample's and the
-//     hang watchdog threshold needs no scaling.
-//   - Hang watchdog: a wedged batch is abandoned whole — the per-sample
-//     commit CAS decides slot ownership lane by lane, so lanes the worker
-//     already committed keep their results and only the uncommitted rest
-//     become OverHang failures.
-//   - Checkpoint/resume: already-completed indices inside a claimed block
-//     are skipped (their commit word is pre-claimed so the watchdog cannot
-//     touch them), making resumed batches ragged; per-lane rescue-counter
-//     deltas are recorded via LaneRescueReporter.
+//   - State errors: the first workers all build their states before any of
+//     them claims a sample, so a state error aborts the run before any
+//     sample runs.
+//   - Cancellation: workers re-check ctx at every claim, so a cancelled run
+//     drains the blocks in flight and returns partial results. A lane
+//     interrupted by ctx counts in RunReport.Interrupted (recorded nowhere,
+//     re-run on resume).
+//   - Budget: samples are armed right before the batch call (per lane on a
+//     BatchSampleArmer, the whole state on a one-lane SampleArmer). All
+//     lanes share one arming instant, so a batch's legitimate wall time is
+//     bounded like a single sample's and the watchdog needs no scaling.
+//   - Hang watchdog: with Budget.Wall set, the coordinator abandons blocks
+//     that run past Wall+HangGrace. A per-sample commit CAS (0 pending → 1
+//     committed by the worker, 0 → 2 abandoned) gives each result slot one
+//     owner: lanes already committed keep their results, the rest become
+//     OverHang failures. The abandoned goroutine leaks until its blocking
+//     call returns, then sees the lost CAS and exits touching nothing
+//     shared; a replacement worker keeps the pool at strength.
+//   - Checkpoint/resume: completed indices inside a claimed block are
+//     skipped (their commit word pre-claimed so the watchdog cannot touch
+//     them), making resumed batches ragged. Rescue deltas come from
+//     LaneRescueReporter, or in a one-lane run from the state's
+//     RescueReporter totals.
+//   - Flight recorder: a one-lane run with RunOpts.Trace brackets every
+//     sample with a span; lockstep batches stay untraced.
 
 import (
 	"context"
@@ -40,6 +47,7 @@ import (
 	"time"
 
 	"vstat/internal/lifecycle"
+	"vstat/internal/obs/trace"
 )
 
 // BatchSampleArmer is implemented by batched worker states whose per-lane
@@ -85,8 +93,9 @@ func safeBatch[S, T any](fn func(st S, idxs []int, rngs []*rand.Rand, out []T, e
 // MapPooledBatchReportCtx runs fn over samples 0..n-1 with per-worker pooled
 // state, claiming up to `lanes` contiguous indices per batch. fn must fill
 // out[j] / errs[j] for every claimed lane j (idxs[j] is lane j's sample
-// index, rngs[j] its deterministic (seed, idx) RNG). lanes <= 1 degrades to
-// one-sample batches (scalar claiming order).
+// index, rngs[j] its deterministic (seed, idx) RNG). lanes <= 1 runs
+// one-sample batches, the scalar engine: see MapPooledReportCtx for the
+// failure, cancellation and checkpoint semantics every lane width shares.
 func MapPooledBatchReportCtx[S, T any](ctx context.Context, n int, seed int64, workers, lanes int, opts RunOpts,
 	newState func(worker int) (S, error),
 	fn func(st S, idxs []int, rngs []*rand.Rand, out []T, errs []error)) ([]T, RunReport, error) {
@@ -110,6 +119,8 @@ func MapPooledBatchReportCtx[S, T any](ctx context.Context, n int, seed int64, w
 	ck := opts.Checkpoint
 	off := opts.Offset
 
+	// failLimit is the largest failure count that does NOT abort the run.
+	// Cancellation-interrupted samples never count against it.
 	failLimit := int64(n)
 	switch {
 	case pol.OnFailure == FailFast:
@@ -127,14 +138,22 @@ func MapPooledBatchReportCtx[S, T any](ctx context.Context, n int, seed int64, w
 	out := make([]T, n)
 	errs := make([]error, n)
 	ran := make([]bool, n)
+	// commit decides the single owner of each sample's result slot:
+	// 0 pending, 1 committed by its worker, 2 abandoned by the watchdog.
 	commit := make([]atomic.Int32, n)
 	var next, failed atomic.Int64
 	var abort atomic.Bool
 	base := time.Now()
 
+	// Worker states and state errors are registered at worker exit (never
+	// by abandoned workers), so post-run reads race nothing.
 	var mu sync.Mutex
 	var states []S
 	var stateErr error
+	// built holds the first `workers` workers until all of them have built
+	// their states, so a state error aborts the run before any sample runs.
+	var built sync.WaitGroup
+	built.Add(workers)
 
 	exitCh := make(chan struct{})
 	// runWorker returns true when the worker's in-flight block was abandoned
@@ -149,10 +168,37 @@ func MapPooledBatchReportCtx[S, T any](ctx context.Context, n int, seed int64, w
 			}
 			mu.Unlock()
 			abort.Store(true)
+		}
+		if w < workers { // watchdog replacements skip the barrier
+			built.Done()
+			built.Wait()
+		}
+		if err != nil {
 			return false
 		}
-		armer, armed := any(st).(BatchSampleArmer)
-		laneRep, laneReports := any(st).(LaneRescueReporter)
+		laneArmer, laneArmed := any(st).(BatchSampleArmer)
+		var laneCounts func(lane int) map[string]int64
+		if lr, ok := any(st).(LaneRescueReporter); ok {
+			laneCounts = lr.LaneRescueCounts
+		}
+		// A one-lane run also takes a scalar state's hooks: whole-state
+		// arming, rescue deltas from the state's totals, and the flight
+		// recorder.
+		var armer SampleArmer
+		var wt *trace.SampleTracer
+		var workRep WorkReporter
+		if lanes == 1 {
+			armer, _ = any(st).(SampleArmer)
+			if rr, ok := any(st).(RescueReporter); ok && laneCounts == nil {
+				laneCounts = func(int) map[string]int64 { return rr.RescueCounts() }
+			}
+			if wt = opts.Trace.NewWorker(w); wt != nil {
+				if ta, ok := any(st).(TraceAttacher); ok {
+					ta.AttachTracer(wt)
+				}
+				workRep, _ = any(st).(WorkReporter)
+			}
+		}
 		idxs := make([]int, lanes)  // local indices (result slots, commit words)
 		gidxs := make([]int, lanes) // global indices (Offset-shifted; fn and RNG see these)
 		rngs := make([]*rand.Rand, lanes)
@@ -189,12 +235,22 @@ func MapPooledBatchReportCtx[S, T any](ctx context.Context, n int, seed int64, w
 			for j := 0; j < m; j++ {
 				rngs[j] = SampleRNG(seed, gidxs[j])
 				berrs[j] = nil
-				if ck != nil && laneReports {
-					prev[j] = laneRep.LaneRescueCounts(j)
+				if ck != nil && laneCounts != nil {
+					prev[j] = laneCounts(j)
 				}
-				if armed {
-					armer.ArmLane(j, ctx, opts.Budget)
+				if laneArmed {
+					laneArmer.ArmLane(j, ctx, opts.Budget)
 				}
+			}
+			if armer != nil {
+				armer.ArmSample(ctx, opts.Budget)
+			}
+			var preIters, preRescues int64
+			if wt != nil {
+				if workRep != nil {
+					preIters, preRescues = workRep.SolverWork()
+				}
+				wt.BeginSample(gidxs[0])
 			}
 			safeBatch(fn, st, gidxs[:m], rngs[:m], bout[:m], berrs[:m])
 			sl.lo.Store(-1)
@@ -204,13 +260,20 @@ func MapPooledBatchReportCtx[S, T any](ctx context.Context, n int, seed int64, w
 				if !commit[idx].CompareAndSwap(0, 1) {
 					// The watchdog gave up on this block: it owns every slot
 					// we have not already committed, and a replacement worker
-					// is running. Keep what we won, touch nothing else.
+					// is running. Keep what we won, touch nothing else (the
+					// tracer is worker-local and never collected from an
+					// abandoned worker, so dropping its sample races nothing).
 					lost = true
 					continue
+				}
+				if wt != nil {
+					endSample(wt, workRep, preIters, preRescues, berrs[j])
 				}
 				ran[idx] = true
 				out[idx], errs[idx] = bout[j], berrs[j]
 				if lifecycle.IsCancellation(berrs[j]) {
+					// In flight when the run died: recorded nowhere, re-run on
+					// resume, excluded from failure accounting and progress.
 					continue
 				}
 				if ck != nil {
@@ -219,8 +282,8 @@ func MapPooledBatchReportCtx[S, T any](ctx context.Context, n int, seed int64, w
 						v = bout[j]
 					}
 					var delta map[string]int64
-					if laneReports {
-						delta = countDelta(laneRep.LaneRescueCounts(j), prev[j])
+					if laneCounts != nil {
+						delta = countDelta(laneCounts(j), prev[j])
 					}
 					ck.Record(idx, v, delta, berrs[j])
 				}
@@ -235,6 +298,7 @@ func MapPooledBatchReportCtx[S, T any](ctx context.Context, n int, seed int64, w
 				return true
 			}
 		}
+		opts.Trace.FinishWorker(wt)
 		mu.Lock()
 		states = append(states, st)
 		mu.Unlock()
@@ -258,6 +322,8 @@ func MapPooledBatchReportCtx[S, T any](ctx context.Context, n int, seed int64, w
 	}
 	spawned := workers
 
+	// Coordinator: drain worker exits and, with a wall budget, scan in-flight
+	// blocks for hangs (a nil tick channel never fires).
 	var tickC <-chan time.Time
 	var hangLimit time.Duration
 	if opts.Budget.Wall > 0 {
@@ -380,6 +446,25 @@ func MapPooledBatchReportCtx[S, T any](ctx context.Context, n int, seed int64, w
 			rep.Failed, rep.Attempted, pol.MaxFailFrac, ErrTooManyFailures)
 	}
 	return out, rep, nil
+}
+
+// endSample files a traced sample's diagnostic: its verdict, the solver
+// work it did since the (iters0, rescues0) snapshot, and its error text and
+// worst node.
+func endSample(wt *trace.SampleTracer, wr WorkReporter, iters0, rescues0 int64, err error) {
+	d := trace.SampleDiag{Verdict: classifyVerdict(err)}
+	if wr != nil {
+		iters, rescues := wr.SolverWork()
+		d.Iters, d.Rescues = iters-iters0, rescues-rescues0
+	}
+	if err != nil {
+		d.Err = err.Error()
+		var ne interface{ WorstNode() string }
+		if errors.As(err, &ne) {
+			d.WorstNode = ne.WorstNode()
+		}
+	}
+	wt.EndSample(d)
 }
 
 // countDelta returns cur minus prev, keeping nonzero entries (nil when

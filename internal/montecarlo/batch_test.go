@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"vstat/internal/obs/trace"
 )
 
 // batchFromScalar lifts a scalar sample function into the batch shape.
@@ -21,37 +25,74 @@ func batchFromScalar[S, T any](fn func(st S, idx int, rng *rand.Rand) (T, error)
 
 // TestBatchMatchesScalarEngine pins the determinism contract: for any lane
 // width and worker count, the batched engine produces exactly the values and
-// report the scalar engine produces for the same (seed, idx) stream.
+// report (failures, messages and rescue totals included) the scalar engine
+// produces for the same (seed, idx) stream. Each case also runs under a
+// flight recorder, which must leave the values bit-identical: one-lane runs
+// keep their worst-K records, lockstep batches stay untraced.
 func TestBatchMatchesScalarEngine(t *testing.T) {
-	const n, seed = 37, 42
-	fn := func(_ struct{}, idx int, rng *rand.Rand) (float64, error) {
+	const n, seed, k = 37, 42, 5
+	newState := func(int) (*rescueState, error) { return &rescueState{}, nil }
+	fn := func(st *rescueState, idx int, rng *rand.Rand) (float64, error) {
 		v := rng.NormFloat64() + float64(idx)
+		if idx%7 == 2 {
+			st.gmin++
+		}
 		if idx%9 == 4 {
 			return 0, fmt.Errorf("sample %d synthetic failure", idx)
 		}
 		return v, nil
 	}
 	pol := Policy{OnFailure: SkipAndRecord, MaxFailFrac: 1}
-	want, wantRep, err := MapPooledReportCtx(context.Background(), n, seed, 1, RunOpts{Policy: pol},
-		func(int) (struct{}, error) { return struct{}{}, nil }, fn)
+	want, wantRep, err := MapPooledReportCtx(context.Background(), n, seed, 1, RunOpts{Policy: pol}, newState, fn)
 	if err != nil {
 		t.Fatalf("scalar engine: %v", err)
 	}
+	if len(wantRep.Failures) == 0 || len(wantRep.Rescued) == 0 {
+		t.Fatalf("reference report exercises no failures or rescues: %s", wantRep.String())
+	}
 	for _, lanes := range []int{1, 4, 16} {
 		for _, workers := range []int{1, 3} {
-			got, rep, err := MapPooledBatchReportCtx(context.Background(), n, seed, workers, lanes,
-				RunOpts{Policy: pol},
-				func(int) (struct{}, error) { return struct{}{}, nil }, batchFromScalar(fn))
-			if err != nil {
-				t.Fatalf("lanes=%d workers=%d: %v", lanes, workers, err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("lanes=%d workers=%d sample %d: got %v want %v", lanes, workers, i, got[i], want[i])
+			for _, traced := range []bool{false, true} {
+				name := fmt.Sprintf("lanes=%d workers=%d traced=%v", lanes, workers, traced)
+				opts := RunOpts{Policy: pol}
+				if traced {
+					rec := trace.New("test", k)
+					opts.Trace = trace.NewMC(rec, "mc", rec.Start("mc", trace.CatMCRun, 0).ID(), k)
 				}
-			}
-			if rep.Attempted != wantRep.Attempted || rep.Succeeded != wantRep.Succeeded || rep.Failed != wantRep.Failed {
-				t.Fatalf("lanes=%d workers=%d report %+v, want %+v", lanes, workers, rep, wantRep)
+				got, rep, err := MapPooledBatchReportCtx(context.Background(), n, seed, workers, lanes,
+					opts, newState, batchFromScalar(fn))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s sample %d: got %v want %v", name, i, got[i], want[i])
+					}
+				}
+				if rep.Attempted != wantRep.Attempted || rep.Succeeded != wantRep.Succeeded || rep.Failed != wantRep.Failed {
+					t.Fatalf("%s report %+v, want %+v", name, rep, wantRep)
+				}
+				if len(rep.Failures) != len(wantRep.Failures) {
+					t.Fatalf("%s: %d failures, want %d", name, len(rep.Failures), len(wantRep.Failures))
+				}
+				for i, f := range rep.Failures {
+					if w := wantRep.Failures[i]; f.Idx != w.Idx || f.Err.Error() != w.Err.Error() {
+						t.Fatalf("%s failure %d = (%d, %q), want (%d, %q)", name, i, f.Idx, f.Err, w.Idx, w.Err)
+					}
+				}
+				if !reflect.DeepEqual(rep.Rescued, wantRep.Rescued) {
+					t.Fatalf("%s rescued %v, want %v", name, rep.Rescued, wantRep.Rescued)
+				}
+				if !traced {
+					continue
+				}
+				wantRecs := 0
+				if lanes == 1 {
+					wantRecs = k
+				}
+				if recs := opts.Trace.Finish(); len(recs) != wantRecs {
+					t.Fatalf("%s kept %d worst-K records, want %d", name, len(recs), wantRecs)
+				}
 			}
 		}
 	}

@@ -21,7 +21,7 @@ func ctxSample(idx int, rng *rand.Rand) (float64, error) {
 
 func TestMapCtxNilContextMatchesMap(t *testing.T) {
 	const n, seed = 64, int64(7)
-	want, err := Map(n, seed, 3, ctxSample)
+	want, err := MapCtx(context.Background(), n, seed, 3, ctxSample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestMapCtxNilContextMatchesMap(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("sample %d = %.17g, Map gives %.17g", i, got[i], want[i])
+			t.Fatalf("sample %d = %.17g, a background context gives %.17g", i, got[i], want[i])
 		}
 	}
 }
@@ -42,15 +42,15 @@ func TestMapCtxNilContextMatchesMap(t *testing.T) {
 // count, because a sample's outcome depends only on (seed, idx).
 func TestMapCtxCancelPartialBitIdentical(t *testing.T) {
 	const n, seed = 400, int64(99)
-	want, err := Map(n, seed, 1, ctxSample)
+	want, err := MapCtx(context.Background(), n, seed, 1, ctxSample)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 7} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var done atomic.Int64
-		got, rep, err := MapReportCtx(ctx, n, seed, workers, RunOpts{},
-			func(idx int, rng *rand.Rand) (float64, error) {
+		got, rep, err := MapPooledReportCtx(ctx, n, seed, workers, RunOpts{}, noState,
+			func(_ struct{}, idx int, rng *rand.Rand) (float64, error) {
 				if done.Add(1) == n/2 {
 					cancel()
 				}
@@ -97,8 +97,8 @@ func TestMapCtxInFlightCancellationNotAFailure(t *testing.T) {
 	const n, seed = 16, int64(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, rep, err := MapReportCtx(ctx, n, seed, 1, RunOpts{Policy: Policy{OnFailure: FailFast}},
-		func(idx int, rng *rand.Rand) (float64, error) {
+	_, rep, err := MapPooledReportCtx(ctx, n, seed, 1, RunOpts{Policy: Policy{OnFailure: FailFast}}, noState,
+		func(_ struct{}, idx int, rng *rand.Rand) (float64, error) {
 			if idx == 5 {
 				cancel()
 				return 0, context.Canceled // what an armed solver returns
@@ -172,7 +172,7 @@ func TestBudgetArmsStateAndFailsSample(t *testing.T) {
 func TestWatchdogAbandonsHungSample(t *testing.T) {
 	const n, seed = 40, int64(13)
 	const hungIdx = 9
-	want, err := Map(n, seed, 1, ctxSample)
+	want, err := MapCtx(context.Background(), n, seed, 1, ctxSample)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -10,15 +11,23 @@ import (
 	"vstat/internal/stats"
 )
 
+// noState is the newState of a run whose samples need no pooled state.
+func noState(int) (struct{}, error) { return struct{}{}, nil }
+
+// stateless lifts a per-index sample fn into the pooled engine's shape.
+func stateless[T any](fn func(idx int, rng *rand.Rand) (T, error)) func(struct{}, int, *rand.Rand) (T, error) {
+	return func(_ struct{}, idx int, rng *rand.Rand) (T, error) { return fn(idx, rng) }
+}
+
 func TestMapOrderAndDeterminism(t *testing.T) {
 	fn := func(idx int, rng *rand.Rand) (float64, error) {
 		return float64(idx) + rng.Float64()*1e-3, nil
 	}
-	a, err := Map(100, 42, 4, fn)
+	a, err := MapCtx(context.Background(), 100, 42, 4, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Map(100, 42, 13, fn) // different worker count
+	b, err := MapCtx(context.Background(), 100, 42, 13, fn) // different worker count
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +39,7 @@ func TestMapOrderAndDeterminism(t *testing.T) {
 			t.Fatalf("sample order broken at %d: %g", i, a[i])
 		}
 	}
-	c, _ := Map(100, 43, 4, fn)
+	c, _ := MapCtx(context.Background(), 100, 43, 4, fn)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -45,7 +54,7 @@ func TestMapOrderAndDeterminism(t *testing.T) {
 
 func TestMapErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Map(50, 1, 8, func(idx int, rng *rand.Rand) (int, error) {
+	_, err := MapCtx(context.Background(), 50, 1, 8, func(idx int, rng *rand.Rand) (int, error) {
 		if idx == 33 {
 			return 0, boom
 		}
@@ -58,7 +67,7 @@ func TestMapErrorPropagates(t *testing.T) {
 
 func TestMapRunsAllSamples(t *testing.T) {
 	var count int64
-	_, err := Map(257, 7, 16, func(idx int, rng *rand.Rand) (struct{}, error) {
+	_, err := MapCtx(context.Background(), 257, 7, 16, func(idx int, rng *rand.Rand) (struct{}, error) {
 		atomic.AddInt64(&count, 1)
 		return struct{}{}, nil
 	})
@@ -71,12 +80,12 @@ func TestMapRunsAllSamples(t *testing.T) {
 }
 
 func TestMapEmptyAndDefaults(t *testing.T) {
-	out, err := Map(0, 1, 0, func(int, *rand.Rand) (int, error) { return 1, nil })
+	out, err := MapCtx(context.Background(), 0, 1, 0, func(int, *rand.Rand) (int, error) { return 1, nil })
 	if err != nil || out != nil {
 		t.Fatalf("empty run: %v %v", out, err)
 	}
 	// workers <= 0 defaults to GOMAXPROCS; n < workers clamps.
-	out2, err := Map(3, 1, -1, func(i int, _ *rand.Rand) (int, error) { return i, nil })
+	out2, err := MapCtx(context.Background(), 3, 1, -1, func(i int, _ *rand.Rand) (int, error) { return i, nil })
 	if err != nil || len(out2) != 3 {
 		t.Fatalf("default workers: %v %v", out2, err)
 	}
@@ -86,14 +95,14 @@ func TestMapPooledMatchesMapAcrossWorkerCounts(t *testing.T) {
 	fn := func(idx int, rng *rand.Rand) (float64, error) {
 		return float64(idx) + rng.Float64()*1e-3, nil
 	}
-	want, err := Map(100, 42, 1, fn)
+	want, err := MapCtx(context.Background(), 100, 42, 1, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var created atomic.Int64
 	for _, workers := range []int{1, 4, 13} {
 		created.Store(0)
-		got, err := MapPooled(100, 42, workers,
+		got, _, err := MapPooledReportCtx(context.Background(), 100, 42, workers, RunOpts{},
 			func(w int) (int, error) { created.Add(1); return w, nil },
 			func(st int, idx int, rng *rand.Rand) (float64, error) { return fn(idx, rng) })
 		if err != nil {
@@ -113,7 +122,7 @@ func TestMapPooledMatchesMapAcrossWorkerCounts(t *testing.T) {
 func TestMapPooledStateErrorAborts(t *testing.T) {
 	boom := errors.New("no bench")
 	var ran atomic.Int64
-	_, err := MapPooled(40, 1, 3,
+	_, _, err := MapPooledReportCtx(context.Background(), 40, 1, 3, RunOpts{},
 		func(w int) (int, error) {
 			if w == 1 {
 				return 0, boom
@@ -127,17 +136,16 @@ func TestMapPooledStateErrorAborts(t *testing.T) {
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("expected wrapped state error, got %v", err)
 	}
-	// The healthy workers still drain the queue; the failed worker claims
-	// no samples.
-	if ran.Load() != 40 {
-		t.Fatalf("healthy workers ran %d of 40 samples", ran.Load())
+	// Every worker builds its state before any claims a sample, so the
+	// state error aborts the run before a single sample runs.
+	if ran.Load() != 0 {
+		t.Fatalf("%d of 40 samples ran after a worker's state failed", ran.Load())
 	}
 }
 
 func TestMapPooledSampleErrorByLowestIndex(t *testing.T) {
 	early, late := errors.New("early"), errors.New("late")
-	_, err := MapPooled(50, 1, 8,
-		func(w int) (struct{}, error) { return struct{}{}, nil },
+	_, _, err := MapPooledReportCtx(context.Background(), 50, 1, 8, RunOpts{}, noState,
 		func(_ struct{}, idx int, _ *rand.Rand) (int, error) {
 			switch idx {
 			case 12:
@@ -156,7 +164,7 @@ func TestMapPooledStateIsPerWorkerNotPerSample(t *testing.T) {
 	// Each worker must see one persistent state across all its samples —
 	// that is the entire point of pooling.
 	type counter struct{ calls int }
-	outs, err := MapPooled(64, 9, 4,
+	outs, _, err := MapPooledReportCtx(context.Background(), 64, 9, 4, RunOpts{},
 		func(w int) (*counter, error) { return &counter{}, nil },
 		func(st *counter, idx int, _ *rand.Rand) (int, error) {
 			st.calls++
@@ -196,11 +204,11 @@ func TestSampleRNGIndependence(t *testing.T) {
 }
 
 func TestScalarsAndColumn(t *testing.T) {
-	xs, err := Scalars(10, 5, 2, func(i int, _ *rand.Rand) (float64, error) {
+	xs, err := MapCtx(context.Background(), 10, 5, 2, func(i int, _ *rand.Rand) (float64, error) {
 		return float64(i * i), nil
 	})
 	if err != nil || xs[3] != 9 {
-		t.Fatalf("Scalars: %v %v", xs, err)
+		t.Fatalf("scalar run: %v %v", xs, err)
 	}
 	col := Column([][]float64{{1, 2}, {3, 4}, {5, 6}}, 1)
 	if col[0] != 2 || col[2] != 6 {

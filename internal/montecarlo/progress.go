@@ -2,8 +2,8 @@ package montecarlo
 
 import "sync/atomic"
 
-// ProgressSink receives live run-progress callbacks from MapPooledReport
-// (and everything layered on it). The interface is structural so the
+// ProgressSink receives live run-progress callbacks from the Monte Carlo
+// engine. The interface is structural so the
 // observability layer can implement it without this package importing it:
 // obs.Progress satisfies it directly. Implementations must be safe for
 // concurrent SampleDone calls from every worker.

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -33,12 +34,13 @@ func TestProgressSinkSeesEverySample(t *testing.T) {
 	defer SetProgress(nil)
 
 	const n = 200
-	_, rep, err := MapReport(n, 7, 4, SkipUpTo(0.5), func(idx int, _ *rand.Rand) (int, error) {
-		if idx%10 == 0 {
-			return 0, fmt.Errorf("boom %d", idx)
-		}
-		return idx, nil
-	})
+	_, rep, err := MapPooledReportCtx(context.Background(), n, 7, 4, RunOpts{Policy: SkipUpTo(0.5)}, noState,
+		func(_ struct{}, idx int, _ *rand.Rand) (int, error) {
+			if idx%10 == 0 {
+				return 0, fmt.Errorf("boom %d", idx)
+			}
+			return idx, nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestProgressSinkDetach(t *testing.T) {
 	sink := &countingSink{}
 	SetProgress(sink)
 	SetProgress(nil)
-	if _, err := Map(10, 1, 2, func(idx int, _ *rand.Rand) (int, error) { return idx, nil }); err != nil {
+	if _, err := MapCtx(context.Background(), 10, 1, 2, func(idx int, _ *rand.Rand) (int, error) { return idx, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if sink.started.Load() != 0 {

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -24,7 +25,8 @@ func TestMapReportSkipAndRecord(t *testing.T) {
 	bad := map[int]error{13: errors.New("boom13"), 57: errors.New("boom57")}
 	const n = 100
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		out, rep, err := MapReport(n, 7, workers, Policy{OnFailure: SkipAndRecord}, failOn(bad))
+		out, rep, err := MapPooledReportCtx(context.Background(), n, 7, workers,
+			RunOpts{Policy: Policy{OnFailure: SkipAndRecord}}, noState, stateless(failOn(bad)))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -55,7 +57,7 @@ func TestMapReportFailFastLowestIndex(t *testing.T) {
 	// ran, which (claims being a contiguous prefix) is the global lowest.
 	bad := map[int]error{12: errors.New("low"), 40: errors.New("high"), 77: errors.New("higher")}
 	for _, workers := range []int{1, 4} {
-		_, rep, err := MapReport(100, 3, workers, Policy{}, failOn(bad))
+		_, rep, err := MapPooledReportCtx(context.Background(), 100, 3, workers, RunOpts{}, noState, stateless(failOn(bad)))
 		if err == nil {
 			t.Fatalf("workers=%d: expected error", workers)
 		}
@@ -77,7 +79,7 @@ func TestMapReportCapTrip(t *testing.T) {
 		return 1, nil
 	}
 	for _, workers := range []int{1, 4} {
-		_, rep, err := MapReport(100, 5, workers, SkipUpTo(0.1), fn)
+		_, rep, err := MapPooledReportCtx(context.Background(), 100, 5, workers, RunOpts{Policy: SkipUpTo(0.1)}, noState, stateless(fn))
 		if !errors.Is(err, ErrTooManyFailures) {
 			t.Fatalf("workers=%d: err = %v, want ErrTooManyFailures", workers, err)
 		}
@@ -86,7 +88,7 @@ func TestMapReportCapTrip(t *testing.T) {
 		}
 	}
 	// The same failure pattern under a generous cap completes.
-	_, rep, err := MapReport(100, 5, 4, SkipUpTo(0.5), fn)
+	_, rep, err := MapPooledReportCtx(context.Background(), 100, 5, 4, RunOpts{Policy: SkipUpTo(0.5)}, noState, stateless(fn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +100,9 @@ func TestMapReportCapTrip(t *testing.T) {
 func TestMapReportPanicRecovery(t *testing.T) {
 	const n = 40
 	for _, workers := range []int{1, 4} {
-		out, rep, err := MapReport(n, 1, workers, Policy{OnFailure: SkipAndRecord},
-			func(idx int, rng *rand.Rand) (float64, error) {
+		out, rep, err := MapPooledReportCtx(context.Background(), n, 1, workers,
+			RunOpts{Policy: Policy{OnFailure: SkipAndRecord}}, noState,
+			func(_ struct{}, idx int, rng *rand.Rand) (float64, error) {
 				if idx == 5 {
 					panic("sample 5 exploded")
 				}
@@ -128,8 +131,8 @@ func TestMapReportPanicRecovery(t *testing.T) {
 }
 
 func TestMapReportPanicFailFast(t *testing.T) {
-	_, _, err := MapReport(20, 1, 2, Policy{},
-		func(idx int, rng *rand.Rand) (int, error) {
+	_, _, err := MapPooledReportCtx(context.Background(), 20, 1, 2, RunOpts{}, noState,
+		func(_ struct{}, idx int, rng *rand.Rand) (int, error) {
 			if idx == 3 {
 				panic("boom")
 			}
@@ -144,7 +147,7 @@ func TestMapReportPanicFailFast(t *testing.T) {
 func TestMapPooledReportStatePanic(t *testing.T) {
 	// A panicking newState must surface as a worker state error, not kill
 	// the process.
-	_, _, err := MapPooledReport(10, 1, 2, Policy{},
+	_, _, err := MapPooledReportCtx(context.Background(), 10, 1, 2, RunOpts{},
 		func(w int) (int, error) {
 			if w == 0 {
 				panic("state build failed")
@@ -176,7 +179,7 @@ func (s *rescueState) RescueCounts() map[string]int64 {
 func TestMapPooledReportRescueAggregationWorkerInvariant(t *testing.T) {
 	const n = 60
 	run := func(workers int) RunReport {
-		_, rep, err := MapPooledReport(n, 9, workers, Policy{},
+		_, rep, err := MapPooledReportCtx(context.Background(), n, 9, workers, RunOpts{},
 			func(int) (*rescueState, error) { return &rescueState{}, nil },
 			func(st *rescueState, idx int, rng *rand.Rand) (int, error) {
 				if idx%7 == 0 {
@@ -271,12 +274,13 @@ func TestSkipAndRecordDeterministicOutputs(t *testing.T) {
 		}
 		return rng.NormFloat64(), nil
 	}
-	ref, _, err := MapReport(64, 42, 1, Policy{OnFailure: SkipAndRecord}, fn)
+	pol := RunOpts{Policy: Policy{OnFailure: SkipAndRecord}}
+	ref, _, err := MapPooledReportCtx(context.Background(), 64, 42, 1, pol, noState, stateless(fn))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
-		got, _, err := MapReport(64, 42, workers, Policy{OnFailure: SkipAndRecord}, fn)
+		got, _, err := MapPooledReportCtx(context.Background(), 64, 42, workers, pol, noState, stateless(fn))
 		if err != nil {
 			t.Fatal(err)
 		}
