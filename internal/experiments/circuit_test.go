@@ -26,7 +26,7 @@ func TestFig4BivariateComparison(t *testing.T) {
 			t.Fatalf("%dσ major axes diverge: %g vs %g", k+1, r.VSEll[k].A, r.GoldenEll[k].A)
 		}
 	}
-	_ = r.String()
+	pinOutput(t, "Fig4", r.String())
 }
 
 func TestFig5DelayDistributions(t *testing.T) {
@@ -57,7 +57,7 @@ func TestFig5DelayDistributions(t *testing.T) {
 			t.Fatal("missing KDE series")
 		}
 	}
-	_ = r.String()
+	pinOutput(t, "Fig5", r.String())
 }
 
 func TestFig6LeakageFrequency(t *testing.T) {
@@ -81,7 +81,7 @@ func TestFig6LeakageFrequency(t *testing.T) {
 	if d := math.Abs(r.VSFreqSpreadPct - r.GoldenFreqSpreadPct); d > 25 {
 		t.Fatalf("freq spreads diverge: %g vs %g", r.VSFreqSpreadPct, r.GoldenFreqSpreadPct)
 	}
-	_ = r.String()
+	pinOutput(t, "Fig6", r.String())
 }
 
 func TestFig7NonGaussianOnset(t *testing.T) {
@@ -119,7 +119,7 @@ func TestFig7NonGaussianOnset(t *testing.T) {
 			t.Fatalf("Vdd=%g: mean delays differ %g%%", c.Vdd, 100*d)
 		}
 	}
-	_ = r.String()
+	pinOutput(t, "Fig7", r.String())
 }
 
 func TestFig8SetupTimeDistribution(t *testing.T) {
@@ -140,7 +140,7 @@ func TestFig8SetupTimeDistribution(t *testing.T) {
 	if r.TrialsPerSample < 5 {
 		t.Fatalf("bisection cost %d implausibly low", r.TrialsPerSample)
 	}
-	_ = r.String()
+	pinOutput(t, "Fig8", r.String())
 }
 
 func TestFig9SRAMSNM(t *testing.T) {
@@ -167,7 +167,7 @@ func TestFig9SRAMSNM(t *testing.T) {
 	if len(r.ReadLeft.In) == 0 || len(r.HoldLeft.In) == 0 {
 		t.Fatal("missing butterfly curves")
 	}
-	_ = r.String()
+	pinOutput(t, "Fig9", r.String())
 }
 
 func TestTable4RuntimeComparison(t *testing.T) {
@@ -194,5 +194,5 @@ func TestTable4RuntimeComparison(t *testing.T) {
 			t.Fatalf("%s: speedup %g", row.Cell, row.Speedup)
 		}
 	}
-	_ = r.String()
+	_ = r.String() // all timings, so not in the figure pin
 }

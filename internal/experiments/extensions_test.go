@@ -25,7 +25,7 @@ func TestExtCornersBoundMC(t *testing.T) {
 	if r.CoveragePct < 97 {
 		t.Fatalf("corner coverage %g%%", r.CoveragePct)
 	}
-	_ = r.String()
+	pinOutput(t, "ExtCorners", r.String())
 }
 
 func TestExtSSTAAndYieldFromSmallPopulations(t *testing.T) {
@@ -54,7 +54,7 @@ func TestExtSSTAAndYieldFromSmallPopulations(t *testing.T) {
 	if sr.Rows[2].TailErrPct < sr.Rows[0].TailErrPct-1 {
 		t.Fatalf("tail error did not grow at low Vdd: %+v", sr.Rows)
 	}
-	_ = sr.String()
+	pinOutput(t, "ExtSSTA", sr.String())
 
 	f6, err := s.Fig6()
 	if err != nil {
@@ -70,7 +70,7 @@ func TestExtSSTAAndYieldFromSmallPopulations(t *testing.T) {
 	if yr.LeakKS > 0.25 {
 		t.Fatalf("leakage far from lognormal: KS %g", yr.LeakKS)
 	}
-	_ = yr.String()
+	pinOutput(t, "ExtYield", yr.String())
 }
 
 func TestFig8HoldDistribution(t *testing.T) {
@@ -88,7 +88,7 @@ func TestFig8HoldDistribution(t *testing.T) {
 	if math.Abs(r.VS.Mean-r.Golden.Mean) > 3*spread+5e-12 {
 		t.Fatalf("hold means diverge: %g vs %g (σ %g)", r.VS.Mean, r.Golden.Mean, spread)
 	}
-	_ = r.String()
+	pinOutput(t, "Fig8Hold", r.String())
 }
 
 func TestExtRing(t *testing.T) {
@@ -111,7 +111,7 @@ func TestExtRing(t *testing.T) {
 	if rel := r.VS.SD / r.VS.Mean; rel > 0.05 {
 		t.Fatalf("ring σ/µ %g implausibly large", rel)
 	}
-	_ = r.String()
+	pinOutput(t, "ExtRing", r.String())
 }
 
 func TestExtNConvShrinksWithN(t *testing.T) {
@@ -134,7 +134,7 @@ func TestExtNConvShrinksWithN(t *testing.T) {
 			t.Fatalf("N=%d: α1 %g out of band", row.N, row.Alpha1Mean)
 		}
 	}
-	_ = r.String()
+	pinOutput(t, "ExtNConv", r.String())
 }
 
 func TestExtInterdieRecovery(t *testing.T) {
@@ -151,7 +151,7 @@ func TestExtInterdieRecovery(t *testing.T) {
 	if r.MeasuredTotal <= r.MeasuredWithin {
 		t.Fatal("total σ must exceed within-die σ with a planted global term")
 	}
-	_ = r.String()
+	pinOutput(t, "ExtInterdie", r.String())
 }
 
 func TestExtSRAMAC(t *testing.T) {
@@ -173,5 +173,5 @@ func TestExtSRAMAC(t *testing.T) {
 	if ratio := r.VS.Mean / r.Golden.Mean; ratio < 0.5 || ratio > 2 {
 		t.Fatalf("models diverge: %g vs %g", r.VS.Mean, r.Golden.Mean)
 	}
-	_ = r.String()
+	pinOutput(t, "ExtSRAMAC", r.String())
 }

@@ -136,7 +136,7 @@ func TestFig2IndividualVsJoint(t *testing.T) {
 	if m := r.MaxAbsDiff(); math.IsNaN(m) || m > 35 {
 		t.Fatalf("Fig2 max diff %g%%", m)
 	}
-	_ = r.String()
+	pinOutput(t, "Fig2", r.String())
 }
 
 func TestFig3Decomposition(t *testing.T) {
@@ -162,7 +162,7 @@ func TestFig3Decomposition(t *testing.T) {
 		t.Fatalf("σ/µ should fall with width: %g%% at %g vs %g%% at %g",
 			first.TotalPct, first.W, last.TotalPct, last.W)
 	}
-	_ = r.String()
+	pinOutput(t, "Fig3", r.String())
 }
 
 func TestTable3VSMatchesGolden(t *testing.T) {
@@ -190,7 +190,7 @@ func TestTable3VSMatchesGolden(t *testing.T) {
 	if !(r.Cells[0].GoldenIdsat > r.Cells[4].GoldenIdsat) {
 		t.Fatalf("absolute σIdsat should grow with width: %+v", r.Cells)
 	}
-	_ = r.String()
+	pinOutput(t, "Table3", r.String())
 }
 
 func TestEq1Demo(t *testing.T) {
@@ -205,5 +205,5 @@ func TestEq1Demo(t *testing.T) {
 	if math.Abs(lhs-rhs) > 1e-12*lhs {
 		t.Fatalf("Eq1 inconsistent: %g vs %g", lhs, rhs)
 	}
-	_ = r.String()
+	pinOutput(t, "Eq1Demo", r.String())
 }
