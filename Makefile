@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace rng tranrecord
+.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace rng tranrecord numerics
 
 # Tier 1: the build + vet + test gate every change must keep green
 # (ROADMAP.md).
-tier1: vet obs sparse lifecycle batch shard shardcrash trace rng tranrecord
+tier1: vet obs sparse lifecycle batch shard shardcrash trace rng tranrecord numerics
 	$(GO) build ./... && $(GO) test ./...
 
 # Static analysis alone (also the first rung of tier1).
@@ -106,6 +106,17 @@ tranrecord:
 	$(GO) test -race -count=1 -run 'TestTrialsMatchFreshRegister|TestSearch' ./internal/measure/
 	$(GO) test -race -count=1 -run 'TestPooledFastSetupAccuracy|TestPooledSetupTimeBitIdentical' ./internal/experiments/
 	$(GO) test -run xxx -fuzz FuzzTranRecord -fuzztime 10s ./internal/spice/
+
+# Model-numerics rung: the VS series-resistance solve against a bisection
+# root (its current within the solve's tolerance, qixo and Fsat at the root,
+# Eval equal to EvalDerivs4's values, and the pinned core-evaluation budget),
+# and both models' native Jacobians against central finite differences over
+# ±6σ mismatched cards — the seeded cases, then a short fuzz of each target.
+numerics:
+	$(GO) test -count=1 -run 'SeriesSolve|NativeDerivs' ./internal/vsmodel/ ./internal/bsim/
+	$(GO) test -run xxx -fuzz FuzzSeriesSolve -fuzztime 10s ./internal/vsmodel/
+	$(GO) test -run xxx -fuzz FuzzNativeDerivsFD -fuzztime 10s ./internal/vsmodel/
+	$(GO) test -run xxx -fuzz FuzzNativeDerivsFD -fuzztime 10s ./internal/bsim/
 
 # Tier 2: the race detector over the full tree, including the pooled
 # parallel Monte Carlo engine.

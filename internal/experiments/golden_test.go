@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -166,7 +167,7 @@ func writeGolden(path string, old, got map[string]string) error {
 	for _, k := range names {
 		fmt.Fprintf(&b, "-- %s --\n%s", k, merged[k])
 	}
-	if err := os.MkdirAll("testdata", 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("figure pin: %w", err)
 	}
 	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {

@@ -55,12 +55,14 @@ type ParamsBatch struct {
 	vgs, vds   []float64
 	vbs, vgd   []float64
 
-	// Series-solve state: bracket, current Newton trial, tolerance, and the
-	// converged per-lane result — the root current plus the last core
-	// evaluation with its analytic partials (the scalar seriesState).
+	// Series-solve state: bracket, current Newton trial, last Newton step,
+	// tolerance, and the converged per-lane result — the root current plus
+	// the last core evaluation with its analytic partials (the scalar
+	// seriesState).
 	sDone  []bool
 	sA, sB []float64
 	sX     []float64
+	sPrev  []float64
 	sTol   []float64
 	curID  []float64
 	cCo    []coreOut
@@ -79,7 +81,7 @@ func NewParamsBatch(k int) *ParamsBatch {
 		{&pb.vt0, &pb.gammaB, &pb.phiB, &pb.sqrtPhiB, &pb.n0, &pb.nd, &pb.phit},
 		{&pb.alpha, &pb.aphit, &pb.cinv, &pb.beta, &pb.vxo},
 		{&pb.vgs, &pb.vds, &pb.vbs, &pb.vgd},
-		{&pb.sA, &pb.sB, &pb.sX, &pb.sTol, &pb.curID},
+		{&pb.sA, &pb.sB, &pb.sX, &pb.sPrev, &pb.sTol, &pb.curID},
 	}
 	for _, group := range fs {
 		for _, f := range group {
@@ -233,19 +235,13 @@ func (pb *ParamsBatch) solveEvalD(l int, i float64) (f, df float64) {
 // solveBatch runs the bracket-safeguarded Newton series solve for every
 // active lane in lockstep: each phase (initial evaluation, Newton round)
 // loops over lanes so the independent exp/log latency chains overlap, while
-// each lane's own evaluation sequence stays identical to the scalar
-// solveSeriesD.
+// each lane's own evaluation sequence — the two acceptance rules and the
+// first-order exit included — stays identical to the scalar solveSeriesD.
 func (pb *ParamsBatch) solveBatch() {
 	pending := 0
 	for l := 0; l < pb.k; l++ {
 		pb.sDone[l] = true
 		if !pb.full[l] && !pb.vals[l] {
-			continue
-		}
-		if !pb.wPos[l] {
-			// solveSeriesD: w <= 0 returns zeros (charges still assemble
-			// overlap terms for the values path).
-			pb.curID[l], pb.cCo[l] = 0, coreOut{}
 			continue
 		}
 		f0, df0 := pb.solveEvalD(l, 0)
@@ -262,10 +258,17 @@ func (pb *ParamsBatch) solveBatch() {
 		pb.sA[l], pb.sB[l] = a, b
 		// Newton step from I=0: g(0) = −F(0), g'(0) = 1 − F'(0).
 		x := f0 / (1 - df0)
+		prev := x
 		if !(x > a && x < b) {
 			x = 0.5 * (a + b)
+			prev = 0
+		} else if firstIterateConverged(pb.w[l]*pb.cCo[l].q*pb.vxo[l], pb.phit[l], pb.rs[l]+pb.rd[l], x, df0, tol) {
+			pb.curID[l] = x
+			acceptMove(&pb.cCo[l], x, 0, pb.vds[l], pb.rs[l], pb.rd[l])
+			continue
 		}
 		pb.sX[l] = x
+		pb.sPrev[l] = prev
 		pb.sDone[l] = false
 		pending++
 	}
@@ -301,6 +304,15 @@ func (pb *ParamsBatch) solveBatch() {
 			xn := x - gx/(1-dfx)
 			if !(xn > a && xn < b) {
 				xn = 0.5 * (a + b)
+				pb.sPrev[l] = 0
+			} else if newtonConverged(xn-x, pb.sPrev[l], pb.sTol[l]) {
+				pb.curID[l] = xn
+				acceptMove(&pb.cCo[l], xn, x, pb.vds[l], pb.rs[l], pb.rd[l])
+				pb.sDone[l] = true
+				pending--
+				continue
+			} else {
+				pb.sPrev[l] = xn - x
 			}
 			pb.sX[l] = xn
 		}
@@ -317,11 +329,16 @@ func (pb *ParamsBatch) EvalDerivsBatch(vd, vg, vs, vb []float64, mode []device.E
 		if !pb.full[l] && !pb.vals[l] {
 			continue
 		}
-		if pb.full[l] && !pb.wPos[l] {
-			// EvalDerivs4 short-circuits w <= 0 to a zero bundle before
-			// any voltage mapping.
-			out.SetLaneDerivs(l, device.Derivs{})
-			pb.full[l] = false
+		if !pb.wPos[l] {
+			// Eval and EvalDerivs4 return zeros at Weff <= 0 before any
+			// voltage mapping.
+			if pb.full[l] {
+				out.SetLaneDerivs(l, device.Derivs{})
+			} else {
+				out.Id[l] = 0
+				out.Q[0][l], out.Q[1][l], out.Q[2][l], out.Q[3][l] = 0, 0, 0, 0
+			}
+			pb.full[l], pb.vals[l] = false, false
 			continue
 		}
 		pol := pb.pol[l]

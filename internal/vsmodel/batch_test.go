@@ -136,3 +136,30 @@ func TestBatchKernelZeroAlloc(t *testing.T) {
 		t.Fatalf("EvalDerivsBatch allocates %.1f per call, want 0", allocs)
 	}
 }
+
+// A lane whose card has no effective width returns zeros on both the
+// values and the full path, as the scalar Eval and EvalDerivs4 do (the
+// values path once assembled overlap charges from the negative width).
+func TestBatchZeroWidthLanes(t *testing.T) {
+	const k = 4
+	pb := NewParamsBatch(k)
+	out := device.NewDerivsBatch(k)
+	v := []float64{0.9, 0.9, 0.9, 0.9}
+	zero := make([]float64, k)
+	mode := []device.EvalMode{device.EvalValues, device.EvalFull, device.EvalValues, device.EvalFull}
+	for l := 0; l < k; l++ {
+		p := NMOS40(600e-9)
+		if l >= 2 {
+			p = PMOS40(600e-9)
+		}
+		p.DWg = p.W + 1e-9 // Weff = −1 nm
+		pb.SetLane(l, &p)
+		out.Id[l], out.Q[1][l] = 1, 1
+	}
+	pb.EvalDerivsBatch(v, v, zero, zero, mode, out)
+	for l := 0; l < k; l++ {
+		if got := out.Lane(l); got != (device.Derivs{}) {
+			t.Fatalf("lane %d (mode %d): %+v, want zeros", l, mode[l], got)
+		}
+	}
+}

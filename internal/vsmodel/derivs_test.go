@@ -1,6 +1,7 @@
 package vsmodel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,53 +17,101 @@ func TestNativeDerivsMatchFD(t *testing.T) {
 	p := PMOS40(600e-9)
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 400; trial++ {
-		var d device.Device
-		if trial%2 == 0 {
-			d = &n
-		} else {
+		d := &n
+		if trial%2 == 1 {
 			d = &p
 		}
 		vd := rng.Float64()*1.8 - 0.45 // includes swapped-orientation region
 		vg := rng.Float64() * 0.9
 		vs := rng.Float64() * 0.9
-		vb := 0.0
-
-		nat := d.(device.NativeDerivs).EvalDerivs4(vd, vg, vs, vb)
-		fd := device.EvalDerivsFD(d, vd, vg, vs, vb)
-
-		// Values must agree exactly (same solve).
-		if math.Abs(nat.Id-fd.Id) > 1e-9*(1+math.Abs(fd.Id)) {
-			t.Fatalf("trial %d: Id %g vs %g", trial, nat.Id, fd.Id)
+		if err := nativeMatchesFD(d, vd, vg, vs, 0); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if math.Abs(nat.Q.Qg-fd.Q.Qg) > 1e-9*(1+math.Abs(fd.Q.Qg)) {
-			t.Fatalf("trial %d: Qg %g vs %g", trial, nat.Q.Qg, fd.Q.Qg)
+	}
+}
+
+// nativeMatchesFD compares EvalDerivs4 with the central finite-difference
+// bundle at one bias. Values must agree to 1e-9 (the same solve). The
+// central-difference reference carries O(h²) truncation, so conductances
+// and capacitances are compared at 3 % of their row scale.
+func nativeMatchesFD(d *Params, vd, vg, vs, vb float64) error {
+	nat := d.EvalDerivs4(vd, vg, vs, vb)
+	fd := device.EvalDerivsFD(d, vd, vg, vs, vb)
+	if math.Abs(nat.Id-fd.Id) > 1e-9*(1+math.Abs(fd.Id)) {
+		return fmt.Errorf("Id %g vs %g", nat.Id, fd.Id)
+	}
+	if math.Abs(nat.Q.Qg-fd.Q.Qg) > 1e-9*(1+math.Abs(fd.Q.Qg)) {
+		return fmt.Errorf("Qg %g vs %g", nat.Q.Qg, fd.Q.Qg)
+	}
+	gScale := 0.0
+	for _, v := range fd.GId {
+		gScale += math.Abs(v)
+	}
+	for j := 0; j < 4; j++ {
+		if math.Abs(nat.GId[j]-fd.GId[j]) > 0.03*gScale+1e-12 {
+			return fmt.Errorf("(vd=%.4f vg=%.4f vs=%.4f vb=%.4f): GId[%d] native %g vs FD %g",
+				vd, vg, vs, vb, j, nat.GId[j], fd.GId[j])
 		}
-		// Conductances: the central-difference FD reference carries O(h²)
-		// truncation while the native path's internal forward differences
-		// carry O(h); compare at 3 % of the row scale.
-		gScale := 0.0
-		for _, v := range fd.GId {
-			gScale += math.Abs(v)
+	}
+	for k := 0; k < 4; k++ {
+		cScale := 0.0
+		for _, v := range fd.CQ[k] {
+			cScale += math.Abs(v)
 		}
 		for j := 0; j < 4; j++ {
-			if math.Abs(nat.GId[j]-fd.GId[j]) > 0.03*gScale+1e-12 {
-				t.Fatalf("trial %d (vd=%.3f vg=%.3f vs=%.3f): GId[%d] native %g vs FD %g",
-					trial, vd, vg, vs, j, nat.GId[j], fd.GId[j])
-			}
-		}
-		for k := 0; k < 4; k++ {
-			cScale := 0.0
-			for _, v := range fd.CQ[k] {
-				cScale += math.Abs(v)
-			}
-			for j := 0; j < 4; j++ {
-				if math.Abs(nat.CQ[k][j]-fd.CQ[k][j]) > 0.03*cScale+1e-22 {
-					t.Fatalf("trial %d: CQ[%d][%d] native %g vs FD %g",
-						trial, k, j, nat.CQ[k][j], fd.CQ[k][j])
-				}
+			if math.Abs(nat.CQ[k][j]-fd.CQ[k][j]) > 0.03*cScale+1e-22 {
+				return fmt.Errorf("(vd=%.4f vg=%.4f vs=%.4f vb=%.4f): CQ[%d][%d] native %g vs FD %g",
+					vd, vg, vs, vb, k, j, nat.CQ[k][j], fd.CQ[k][j])
 			}
 		}
 	}
+	return nil
+}
+
+// FuzzNativeDerivsFD extends TestNativeDerivsMatchFD to ±6σ mismatched
+// cards (mismatchCard) and body bias: Vd from −0.45 to 1.35 V, Vg from
+// −0.2 to 1 V, Vs from 0 to 0.9 V and Vb from −0.3 to 0 V. Two kinks that
+// the 1e-4 V central stencil straddles are excluded, since there the
+// stencil, not the native bundle, is wrong: |Vds| < 3·FDStep, where the
+// stencil crosses the source/drain swap, and an internal forward body bias
+// within 10 mV of the PhiB − 0.05 clamp.
+func FuzzNativeDerivsFD(f *testing.F) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 2000; i++ {
+		f.Add(uint8(i%2), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(),
+			rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, w, dvt, dl, dw, dmu, dcinv, vd, vg, vs, vb float64) {
+		var u [10]float64
+		for i, x := range []float64{w, dvt, dl, dw, dmu, dcinv, vd, vg, vs, vb} {
+			v, ok := unit(x)
+			if !ok {
+				t.Skip("non-finite input")
+			}
+			u[i] = v
+		}
+		p := mismatchCard(kind&1 != 0, u[0], u[1], u[2], u[3], u[4], u[5])
+		vd, vg, vs, vb = -0.45+1.8*u[6], -0.2+1.2*u[7], 0.9*u[8], -0.3*u[9]
+		if math.Abs(vd-vs) < 3*device.FDStep || nearBodyClamp(&p, vd, vg, vs, vb) {
+			t.Skip("the finite-difference stencil straddles a kink")
+		}
+		if err := nativeMatchesFD(&p, vd, vg, vs, vb); err != nil {
+			t.Fatalf("%v card (kind %d, %v): %v", p.TypeK, kind, u[:6], err)
+		}
+	})
+}
+
+// nearBodyClamp reports whether the internal source-referred body bias at
+// the solved current lies within 10 mV of the core's PhiB − 0.05 clamp.
+func nearBodyClamp(p *Params, vd, vg, vs, vb float64) bool {
+	pol := p.TypeK.Polarity()
+	nvd, nvg, nvs, nvb := pol*vd, pol*vg, pol*vs, pol*vb
+	if nvd < nvs {
+		nvd, nvs = nvs, nvd
+	}
+	st := p.solveSeriesD(nvg-nvs, nvd-nvs, nvb-nvs)
+	vbsi := nvb - nvs - st.id*p.Rs0/p.Weff()
+	return math.Abs(vbsi-(p.PhiB-0.05)) < 0.01
 }
 
 // At Vds = 0 the saturation function sits exactly on its x = 0 branch; the
