@@ -99,10 +99,12 @@ rng:
 # the same transient solved from t = 0 bit for bit (unit cases, a short fuzz
 # over random PWL inputs and trial orders, and every setup/hold bisection
 # trial of mismatched registers), the record's key and rescue rules, the
-# step ledger, the allocation pins, and the fast path's setup-time accuracy
-# — under the race detector, because pooled workers each own a record.
+# step ledger, the allocation pins, the device bypass's cache lifetime and
+# its evaluation ledger (fresh and resumed), and the fast path's setup-time
+# accuracy — under the race detector, because pooled workers each own a
+# record.
 tranrecord:
-	$(GO) test -race -count=1 -run 'TestTranRecord|TestTranStep' ./internal/spice/
+	$(GO) test -race -count=1 -run 'TestTranRecord|TestTranStep|TestBypass' ./internal/spice/
 	$(GO) test -race -count=1 -run 'TestTrialsMatchFreshRegister|TestSearch' ./internal/measure/
 	$(GO) test -race -count=1 -run 'TestPooledFastSetupAccuracy|TestPooledSetupTimeBitIdentical' ./internal/experiments/
 	$(GO) test -run xxx -fuzz FuzzTranRecord -fuzztime 10s ./internal/spice/
@@ -110,13 +112,17 @@ tranrecord:
 # Model-numerics rung: the VS series-resistance solve against a bisection
 # root (its current within the solve's tolerance, qixo and Fsat at the root,
 # Eval equal to EvalDerivs4's values, and the pinned core-evaluation budget),
-# and both models' native Jacobians against central finite differences over
-# ±6σ mismatched cards — the seeded cases, then a short fuzz of each target.
+# both models' native Jacobians against central finite differences over
+# ±6σ mismatched cards, and the device bypass's first-order bundle against
+# a direct evaluation for terminal moves within its 10 nV window — the
+# seeded cases, then a short fuzz of each target.
 numerics:
 	$(GO) test -count=1 -run 'SeriesSolve|NativeDerivs' ./internal/vsmodel/ ./internal/bsim/
+	$(GO) test -count=1 -run 'BypassExtrapolation' ./internal/spice/
 	$(GO) test -run xxx -fuzz FuzzSeriesSolve -fuzztime 10s ./internal/vsmodel/
 	$(GO) test -run xxx -fuzz FuzzNativeDerivsFD -fuzztime 10s ./internal/vsmodel/
 	$(GO) test -run xxx -fuzz FuzzNativeDerivsFD -fuzztime 10s ./internal/bsim/
+	$(GO) test -run xxx -fuzz FuzzBypassExtrapolation -fuzztime 10s ./internal/spice/
 
 # Tier 2: the race detector over the full tree, including the pooled
 # parallel Monte Carlo engine.

@@ -371,20 +371,3 @@ func BenchmarkAblationLUSolve(b *testing.B) {
 		lu.Solve(rhs)
 	}
 }
-
-// Adaptive vs fixed-step transient on the same inverter bench: the adaptive
-// controller spends steps only on edges.
-func BenchmarkAblationTranAdaptive(b *testing.B) {
-	s := getSuite(b)
-	sz := circuits.Sizing{WP: 600e-9, WN: 300e-9, L: 40e-9}
-	bch := circuits.InverterFO(3, 0.9, sz, s.VS.Nominal())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := bch.Ckt.TransientAdaptive(spice.AdaptiveOpts{
-			Stop: 560e-12, MaxStep: 8e-12, MinStep: 0.2e-12, TolV: 2e-3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -167,6 +168,29 @@ func TestFailedSampleLeavesTemplateRestampable(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The fault window opens halfway through the model calls the busiest
+	// device makes over a clean transient of the nominal bench, so it lies
+	// inside the transient however many evaluations the device bypass
+	// spares.
+	cal, err := newBench(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counters []*device.FaultCard
+	nominal := m.Nominal()
+	cal.Restat(func(k device.Kind, w, l float64) device.Device {
+		fc := &device.FaultCard{Inner: nominal(k, w, l), After: math.MaxInt64}
+		counters = append(counters, fc)
+		return fc
+	})
+	if _, err := cal.Transient(gateTranStop, gateTranStep); err != nil {
+		t.Fatal(err)
+	}
+	var after int64
+	for _, fc := range counters {
+		after = max(after, fc.Calls()/2)
+	}
+
 	faultSample := func(b *circuits.PooledGate, idx int, rng *rand.Rand) (float64, error) {
 		if idx != faultIdx {
 			return delaySample(b, idx, rng)
@@ -176,7 +200,7 @@ func TestFailedSampleLeavesTemplateRestampable(t *testing.T) {
 		// reject the poisoned history, exhaust, and fail the sample.
 		stat := m.Statistical(rng)
 		b.Restat(func(k device.Kind, w, l float64) device.Device {
-			return &device.FaultCard{Inner: stat(k, w, l), Mode: device.FaultNaN, After: 2000}
+			return &device.FaultCard{Inner: stat(k, w, l), Mode: device.FaultNaN, After: after}
 		})
 		res, err := b.Transient(gateTranStop, gateTranStep)
 		if err != nil {

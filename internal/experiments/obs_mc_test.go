@@ -37,9 +37,9 @@ func phaseTotalNS(snap obs.Snapshot) int64 {
 // per-phase self-times must sum to the run's wall time within 10% at
 // workers=1 (the phases are disjoint and cover everything but the template
 // build), every phase histogram must hold exactly one observation per
-// sample, the model-evaluation counter must be non-zero and the same at
-// every worker count, and the sampled delays must be bit-identical to an
-// uninstrumented run.
+// sample, the model-evaluation and bypassed-evaluation counters must be
+// non-zero and the same at every worker count, and the sampled delays must
+// be bit-identical to an uninstrumented run.
 func TestMCObservabilityAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-sample instrumented MC in -short")
@@ -55,7 +55,7 @@ func TestMCObservabilityAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var evals int64 // model_evals_total at workers=1
+	var evals, bypassed int64 // model_evals_total and model_evals_bypassed_total at workers=1
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		mi := NewMCInstr(reg)
@@ -83,6 +83,15 @@ func TestMCObservabilityAcceptance(t *testing.T) {
 			evals = ev
 		} else if ev != evals {
 			t.Fatalf("model_evals_total = %d at workers=%d, %d at workers=1", ev, workers, evals)
+		}
+		by := snap.FindCounter("model_evals_bypassed_total")
+		if by <= 0 {
+			t.Fatalf("workers=%d: model_evals_bypassed_total = %d, want > 0", workers, by)
+		}
+		if bypassed == 0 {
+			bypassed = by
+		} else if by != bypassed {
+			t.Fatalf("model_evals_bypassed_total = %d at workers=%d, %d at workers=1", by, workers, bypassed)
 		}
 		for p := obs.Phase(0); p < obs.NumPhases; p++ {
 			h := snap.Find("mc_phase_" + p.String() + "_ns")

@@ -59,6 +59,7 @@ type MCInstr struct {
 	budgetOver   obs.CounterID
 	cancelled    obs.CounterID
 	modelEvals   obs.CounterID
+	bypassed     obs.CounterID
 	rescueIDs    [7]obs.CounterID
 
 	batchEvicted   obs.CounterID
@@ -78,6 +79,7 @@ func NewMCInstr(reg *obs.Registry) *MCInstr {
 	mi.budgetOver = reg.Counter("mc_samples_budget_total")
 	mi.cancelled = reg.Counter("mc_samples_cancelled_total")
 	mi.modelEvals = reg.Counter("model_evals_total")
+	mi.bypassed = reg.Counter("model_evals_bypassed_total")
 	for i, st := range rescueStages {
 		mi.rescueIDs[i] = reg.Counter("mc_rescue_" + st + "_total")
 	}
@@ -89,6 +91,7 @@ func NewMCInstr(reg *obs.Registry) *MCInstr {
 	reg.SetHelp("mc_samples_budget_total", "Samples that failed over their solver budget (wall, iteration cap, or hang watchdog).")
 	reg.SetHelp("mc_samples_cancelled_total", "In-flight samples drained by a run cancellation.")
 	reg.SetHelp("model_evals_total", "MOSFET compact-model evaluations (scalar calls and batched SoA lanes alike).")
+	reg.SetHelp("model_evals_bypassed_total", "Transient MOSFET evaluations served by the device bypass instead of the model.")
 	for _, st := range rescueStages {
 		reg.SetHelp("mc_rescue_"+st+"_total", "Samples rescued by the "+st+" solver ladder stage.")
 	}
@@ -210,6 +213,9 @@ func (so *SampleObs) End(st spice.SolverStats) {
 	if d := st.ModelEvals - so.prev.ModelEvals; d != 0 {
 		sh.Add(mi.modelEvals, d)
 	}
+	if d := st.BypassedEvals - so.prev.BypassedEvals; d != 0 {
+		sh.Add(mi.bypassed, d)
+	}
 	var rescued int64
 	for i, d := range rescueDeltas(st, so.prev) {
 		if d != 0 {
@@ -237,6 +243,9 @@ func (so *SampleObs) EndBatch(lanes int, st spice.SolverStats) {
 	sh.Add(mi.samples, int64(lanes))
 	if d := st.ModelEvals - so.prev.ModelEvals; d != 0 {
 		sh.Add(mi.modelEvals, d)
+	}
+	if d := st.BypassedEvals - so.prev.BypassedEvals; d != 0 {
+		sh.Add(mi.bypassed, d)
 	}
 	var rescued int64
 	for i, d := range rescueDeltas(st, so.prev) {

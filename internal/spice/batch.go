@@ -51,9 +51,10 @@ type BatchSim struct {
 	devs []device.BatchDevice
 	out  *device.DerivsBatch
 
-	// Gather arrays for one device position across lanes.
+	// Gather arrays for one device position across lanes. devMode is the
+	// round's mode with the lanes the device bypass serves skipped.
 	vd, vg, vs, vb []float64
-	mode           []device.EvalMode
+	mode, devMode  []device.EvalMode
 
 	ns   []newtonState
 	ctxs []assembleCtx
@@ -102,6 +103,7 @@ func NewBatchSim(lanes []*Circuit) (*BatchSim, error) {
 		vs:        make([]float64, k),
 		vb:        make([]float64, k),
 		mode:      make([]device.EvalMode, k),
+		devMode:   make([]device.EvalMode, k),
 		ns:        make([]newtonState, k),
 		ctxs:      make([]assembleCtx, k),
 		statsSnap: make([]SolverStats, k),
@@ -157,30 +159,46 @@ func (b *BatchSim) Rebind() {
 // position, gather each active lane's terminal voltages from its solve
 // vector, evaluate all lanes in one SoA kernel call, and scatter the bundles
 // into the lanes' devPre slots for the next assemble. b.mode selects, per
-// lane, full bundle / values only / skip.
+// lane, full bundle / values only / skip. In transient solves each lane
+// applies the device bypass of the scalar tranEval with the same helpers.
 func (b *BatchSim) evalRound(live int) {
 	b.obsScope.Enter(obs.PhaseBatchEval)
 	nm := len(b.devs)
 	for i := 0; i < nm; i++ {
 		for l := 0; l < live; l++ {
+			b.devMode[l] = b.mode[l]
 			if b.mode[l] == device.EvalSkip {
 				continue
 			}
 			c := b.lanes[l]
 			m := &c.mos[i]
 			x := c.trX
-			b.vd[l] = nv(x, m.d)
-			b.vg[l] = nv(x, m.g)
-			b.vs[l] = nv(x, m.s)
-			b.vb[l] = nv(x, m.b)
+			v := [4]float64{nv(x, m.d), nv(x, m.g), nv(x, m.s), nv(x, m.b)}
+			if b.ctxs[l].tran != nil {
+				e := &c.bypass[i]
+				if ev, ok := e.extrapolate(&v); ok {
+					pre := &c.devPre[i]
+					pre.Eval, pre.GId, pre.CQ = ev, e.dv.GId, e.dv.CQ
+					c.stats.BypassedEvals++
+					b.devMode[l] = device.EvalSkip
+					continue
+				}
+			}
+			b.vd[l], b.vg[l], b.vs[l], b.vb[l] = v[0], v[1], v[2], v[3]
 		}
-		b.devs[i].EvalDerivsBatch(b.vd, b.vg, b.vs, b.vb, b.mode, b.out)
+		b.devs[i].EvalDerivsBatch(b.vd, b.vg, b.vs, b.vb, b.devMode, b.out)
 		for l := 0; l < live; l++ {
-			if b.mode[l] == device.EvalSkip {
+			if b.devMode[l] == device.EvalSkip {
 				continue
 			}
-			b.out.LaneInto(l, &b.lanes[l].devPre[i])
-			b.lanes[l].stats.ModelEvals++
+			c := b.lanes[l]
+			b.out.LaneInto(l, &c.devPre[i])
+			c.stats.ModelEvals++
+			if b.devMode[l] == device.EvalFull && b.ctxs[l].tran != nil {
+				e := &c.bypass[i]
+				e.dv = c.devPre[i]
+				e.keep(&[4]float64{b.vd[l], b.vg[l], b.vs[l], b.vb[l]})
+			}
 		}
 	}
 	b.obsScope.Exit()
@@ -349,6 +367,7 @@ func (b *BatchSim) TransientBatch(live int, opts TranOpts, guesses [][]float64, 
 		c := b.lanes[l]
 		ts := &c.trState
 		ts.h, ts.trap, ts.firstBE = opts.Step, opts.Trap, true
+		c.clearBypass()
 		c.initTranHistory(c.trX, ts)
 		res[l].reset(c, steps+1)
 		res[l].snap(0, c.trX)

@@ -175,6 +175,10 @@ type Circuit struct {
 	// updateTranHistory so a converged step never re-evaluates the models.
 	evCache []device.Eval
 
+	// bypass holds each MOSFET's last full transient evaluation (see
+	// bypass.go).
+	bypass []bypassEntry
+
 	// devPre holds externally computed per-MOSFET derivative bundles for
 	// the next assemble/history call when devPreSet is true (the lockstep
 	// batch driver scatters its SoA results here, so the stamping
@@ -313,6 +317,9 @@ func (c *Circuit) SetMOSDevice(i int, dev device.Device) {
 	c.mos[i].dev = dev
 	c.gen++
 	c.luValid = false
+	if i < len(c.bypass) {
+		c.bypass[i].v = emptyPoint
+	}
 }
 
 // MOSDevice returns the device model of the i-th MOSFET (AddMOS order),

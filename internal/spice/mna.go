@@ -105,6 +105,11 @@ type SolverStats struct {
 	// a pre-computed bundle, so batch and scalar paths count identically.
 	ModelEvals int64
 
+	// BypassedEvals counts transient evaluations the device bypass served
+	// instead of the model (bypass.go). Excluded from RescueCounts and Work,
+	// like TranStepsReused.
+	BypassedEvals int64
+
 	// TranStepsReused counts transient timesteps restored from a TranRecord
 	// instead of solved (see TranOpts.Record). Excluded from RescueCounts and
 	// Work: it is solver work avoided, not work done.
@@ -159,6 +164,7 @@ func (s SolverStats) Add(o SolverStats) SolverStats {
 		NonFiniteRejects: s.NonFiniteRejects + o.NonFiniteRejects,
 		SparseRepivots:   s.SparseRepivots + o.SparseRepivots,
 		ModelEvals:       s.ModelEvals + o.ModelEvals,
+		BypassedEvals:    s.BypassedEvals + o.BypassedEvals,
 		TranStepsReused:  s.TranStepsReused + o.TranStepsReused,
 	}
 }
@@ -285,19 +291,22 @@ func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx,
 		m := &c.mos[i]
 		term := [4]int{m.d, m.g, m.s, m.b}
 		var ev device.Eval
-		var dv device.Derivs
-		if c.devPreSet {
-			// Lockstep batch driver: the SoA kernel already evaluated this
-			// device at exactly these terminal voltages; consume its bundle
-			// so the stamping arithmetic below is unchanged.
-			dv = c.devPre[i]
+		var dv *device.Derivs
+		var own device.Derivs
+		switch {
+		case c.devPreSet:
+			// Lockstep batch driver: the SoA kernel already evaluated (or
+			// bypassed) this device at exactly these terminal voltages;
+			// consume its bundle so the stamping arithmetic below is unchanged.
+			dv = &c.devPre[i]
 			ev = dv.Eval
-		} else if wantJ {
-			dv = device.EvalDerivs(m.dev,
-				nv(x, m.d), nv(x, m.g), nv(x, m.s), nv(x, m.b))
-			ev = dv.Eval
+		case cacheEv:
+			ev, dv = c.tranEval(i, x, wantJ)
+		case wantJ:
+			own = device.EvalDerivs(m.dev, nv(x, m.d), nv(x, m.g), nv(x, m.s), nv(x, m.b))
+			dv, ev = &own, own.Eval
 			c.stats.ModelEvals++
-		} else {
+		default:
 			ev = m.dev.Eval(nv(x, m.d), nv(x, m.g), nv(x, m.s), nv(x, m.b))
 			c.stats.ModelEvals++
 		}

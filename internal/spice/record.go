@@ -1,6 +1,10 @@
 package spice
 
-import "math"
+import (
+	"math"
+
+	"vstat/internal/device"
+)
 
 // TranRecord is a per-step record of a fixed-step transient that a later
 // transient on the same circuit can resume from (TranOpts.Record). Such a
@@ -21,7 +25,10 @@ import "math"
 // Device cards must change only through SetMOSDevice, and waveforms must be
 // pure functions of time. See DESIGN.md §16.
 //
-// The zero value is an empty record. It holds (steps+1)·(n + 8·MOSFETs +
+// Rows also carry every MOSFET's device-bypass point (bypass.go); a restore
+// rebuilds the cache there, so resumed steps bypass what fresh ones do.
+//
+// The zero value is an empty record. It holds (steps+1)·(n + 12·MOSFETs +
 // 2·capacitors) + steps·sources floats, sized on the first recording. A
 // record belongs to one goroutine at a time, like its circuit.
 type TranRecord struct {
@@ -30,10 +37,12 @@ type TranRecord struct {
 	done int // steps recorded: rows 0..done are valid
 
 	// Row k is the state at the end of step k (row 0: the starting state):
-	// the unknowns and the MOSFET and capacitor charge history.
+	// the unknowns, the MOSFET and capacitor charge history, and the
+	// MOSFETs' bypass points (NaN for an empty entry).
 	x          []float64
 	qMos, iMos [][4]float64
 	qCap, iCap []float64
+	pts        [][4]float64
 	// src row k-1 holds the voltage- then current-source values at step
 	// k's time, for k >= 1.
 	src []float64
@@ -85,6 +94,7 @@ func (r *TranRecord) reserve(rows int) {
 	r.x = growTo(r.x, rows*r.n)
 	r.qMos = growTo(r.qMos, rows*r.nm)
 	r.iMos = growTo(r.iMos, rows*r.nm)
+	r.pts = growTo(r.pts, rows*r.nm)
 	r.qCap = growTo(r.qCap, rows*r.nc)
 	r.iCap = growTo(r.iCap, rows*r.nc)
 	r.src = growTo(r.src, (rows-1)*r.ns)
@@ -122,8 +132,10 @@ func (r *TranRecord) sourcesMatch(k int, t float64) bool {
 
 // restore rewinds a transient to the end of recorded step k >= 1: rows 0..k
 // into res, the predictor's rows k, k−1 and k−2 into x, xPrev and xPrev2,
-// and the charge history into ts. The record keeps only those k steps; the
-// transient appends its own after them.
+// the charge history into ts, and the bypass cache, which TransientInto
+// has emptied, by one full evaluation (counted in ModelEvals) at each
+// recorded point. The record keeps only those k steps; the transient
+// appends its own after them.
 func (r *TranRecord) restore(k int, step float64, x, xPrev, xPrev2 []float64, ts *tranState, res *TranResult) {
 	for j := 0; j <= k; j++ {
 		res.snap(float64(j)*step, r.row(j))
@@ -138,6 +150,14 @@ func (r *TranRecord) restore(k int, step float64, x, xPrev, xPrev2 []float64, ts
 	copy(ts.iPrevMos, r.iMos[k*r.nm:])
 	copy(ts.qPrevCap, r.qCap[k*r.nc:])
 	copy(ts.iPrevCap, r.iCap[k*r.nc:])
+	c := r.c
+	for i, p := range r.pts[k*r.nm : (k+1)*r.nm] {
+		if e := &c.bypass[i]; !math.IsNaN(p[0]) {
+			e.dv = device.EvalDerivs(c.mos[i].dev, p[0], p[1], p[2], p[3])
+			c.stats.ModelEvals++
+			e.keep(&p)
+		}
+	}
 	ts.firstBE = false
 	r.done = k
 }
@@ -153,6 +173,10 @@ func (r *TranRecord) put(k int, t float64, x []float64, ts *tranState) {
 	copy(r.iMos[k*r.nm:], ts.iPrevMos)
 	copy(r.qCap[k*r.nc:], ts.qPrevCap)
 	copy(r.iCap[k*r.nc:], ts.iPrevCap)
+	pts := r.pts[k*r.nm : (k+1)*r.nm]
+	for i := range pts {
+		pts[i] = r.c.bypass[i].v
+	}
 	if k > 0 {
 		c, src := r.c, r.src[(k-1)*r.ns:k*r.ns]
 		for i := range c.vs {

@@ -119,9 +119,8 @@ func (r *TranResult) SourceI(src int) []float64 {
 	return out
 }
 
-// At returns the interpolated node voltage at time t. The time grid may be
-// non-uniform (adaptive stepping), so the bracketing step is found by
-// binary search.
+// At returns the interpolated node voltage at time t, between the
+// bracketing steps found by binary search.
 func (r *TranResult) At(node int, t float64) float64 {
 	n := len(r.Time)
 	if n == 0 {
@@ -194,12 +193,13 @@ func (c *Circuit) TransientInto(opts TranOpts, res *TranResult) error {
 
 	ts := &c.trState
 	ts.h, ts.trap, ts.firstBE = opts.Step, opts.Trap, true
+	c.clearBypass()
 
 	steps := int(math.Ceil(opts.Stop/opts.Step - 1e-9))
 	res.reset(c, steps+1)
 	// The preamble leaves the state at the top of step k0: row k0 in x, the
-	// predictor's rows in xPrev/xPrev2, the charge history in ts. A record
-	// restores the k0 steps it shares with this run; otherwise k0 is 0.
+	// predictor's rows in xPrev/xPrev2, the charge history in ts, the bypass
+	// cache. A record restores the k0 steps it shares; otherwise k0 is 0.
 	rec := opts.Record
 	k0 := rec.resume(c, opts, steps, x)
 	if k0 > 0 {
