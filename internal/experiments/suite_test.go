@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash"
 	"math"
 	"reflect"
 	"sync"
@@ -88,6 +92,50 @@ func TestSuiteWorkersInvariant(t *testing.T) {
 		if !reflect.DeepEqual(c.x, c.y) {
 			t.Fatalf("%s differs between 1 and 2 workers:\n1: %+v\n2: %+v", c.name, c.x, c.y)
 		}
+	}
+}
+
+// TestSuiteStatePinned pins the shared suite's extraction state below the
+// 3–4 digits the figures print: a SHA-256 over the bits of the fitted VS
+// cards, the extracted α's, both nominal fit reports and the measured
+// golden σ's, recorded in the figure pin as "SuiteState".
+func TestSuiteStatePinned(t *testing.T) {
+	s := testSuite(t)
+	h := sha256.New()
+	for _, v := range []any{s.VS.NMOS, s.VS.PMOS, s.VS.AlphaN, s.VS.AlphaP,
+		s.FitRepN, s.FitRepP, s.MeasuredN, s.MeasuredP} {
+		hashBits(t, h, reflect.ValueOf(v))
+	}
+	pinOutput(t, "SuiteState", fmt.Sprintf("sha256 %x", h.Sum(nil)))
+}
+
+// hashBits writes v's numbers to h in declaration order: a float64 as its
+// IEEE-754 bits, an integer as 64 bits, a slice or array length-first.
+// Pointers, maps and interfaces fail the test, so the hash depends on
+// values alone.
+func hashBits(t *testing.T, h hash.Hash, v reflect.Value) {
+	t.Helper()
+	var b [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	switch v.Kind() {
+	case reflect.Float64:
+		put(math.Float64bits(v.Float()))
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		put(uint64(v.Int()))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			hashBits(t, h, v.Field(i))
+		}
+	case reflect.Slice, reflect.Array:
+		put(uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			hashBits(t, h, v.Index(i))
+		}
+	default:
+		t.Fatalf("suite state: cannot hash a %v", v.Type())
 	}
 }
 
