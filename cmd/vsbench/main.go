@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	vsbench [-n 64] [-workers 1] [-mode exact|fast|both] [-core dense|sparse|both] [-lanes 0,8] [-out BENCH_mc.json]
+//	vsbench [-n 64] [-workers 1] [-mode exact|fast|both] [-core dense|sparse|both] [-out BENCH_mc.json]
 //
 // The default single worker keeps the per-sample allocation figures free of
 // scheduler noise; raise -workers to measure parallel throughput instead.
@@ -25,8 +25,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -87,13 +85,6 @@ type unitRecord struct {
 	TranStepsReusedPerSample float64 `json:"tran_steps_reused_per_sample"`
 	Rescues                  int64   `json:"rescues"`
 
-	// Batched-engine rows only (-lanes widths above 0): the lockstep lane
-	// width, the run's average lane occupancy (filled lanes over lanes
-	// offered across all batches), and the lanes evicted to the scalar path.
-	Lanes            int     `json:"lanes,omitempty"`
-	LaneOccupancyPct float64 `json:"lane_occupancy_pct,omitempty"`
-	LanesEvicted     int64   `json:"lanes_evicted,omitempty"`
-
 	// Sharded-coordinator rows only (-shard-size above 0): the index-range
 	// shard count and size, the in-process loopback endpoints dispatched
 	// to, and the coordinator's attempt accounting (internal/shard.Stats).
@@ -149,33 +140,27 @@ type benchFile struct {
 
 // modelEvalRecord is one row of the raw VS-model microbench: the cost of
 // one full derivative-bundle evaluation (current, charges, and every
-// first-order derivative, internal series-resistance solve included).
-// Lanes 1 times the scalar EvalDerivs4 entry point; higher widths time the
-// ParamsBatch SoA kernel with every lane Full.
+// first-order derivative, internal series-resistance solve included),
+// timed through the EvalDerivs4 entry point.
 type modelEvalRecord struct {
-	Lanes       int     `json:"lanes"`
 	Evals       int64   `json:"evals"`
 	NsPerEval   float64 `json:"ns_per_eval"`
 	EvalsPerSec float64 `json:"evals_per_sec"`
 }
 
 // measureModelEval times nEvals VS derivative-bundle evaluations over a
-// fixed gate/drain bias grid on the 40-nm NMOS card, one Pelgrom-perturbed
-// statistical instance per lane so the batch rows carry the same per-lane
-// parameter diversity as a real lockstep MC.
-func measureModelEval(lanes int, vdd float64, nEvals int) modelEvalRecord {
+// fixed gate/drain bias grid on one Pelgrom-perturbed statistical instance
+// of the 40-nm NMOS card.
+func measureModelEval(vdd float64, nEvals int) modelEvalRecord {
 	rng := rand.New(rand.NewSource(40613))
-	inst := func() device.Device {
-		p := vsmodel.NMOS40(300e-9).WithGeometry(300e-9, 40e-9)
-		d := device.Deltas{
-			DVT0:  rng.NormFloat64() * 0.03,
-			DL:    rng.NormFloat64() * 2e-9,
-			DW:    rng.NormFloat64() * 10e-9,
-			DMu:   rng.NormFloat64() * 0.002,
-			DCinv: rng.NormFloat64() * 0.0005,
-		}
-		return p.WithDeltas(d)
-	}
+	p := vsmodel.NMOS40(300e-9).WithGeometry(300e-9, 40e-9)
+	nd := p.WithDeltas(device.Deltas{
+		DVT0:  rng.NormFloat64() * 0.03,
+		DL:    rng.NormFloat64() * 2e-9,
+		DW:    rng.NormFloat64() * 10e-9,
+		DMu:   rng.NormFloat64() * 0.002,
+		DCinv: rng.NormFloat64() * 0.0005,
+	}).(device.NativeDerivs)
 	const gridN = 16 // 16x16 gate/drain plane, vb = 0
 	bias := make([][2]float64, 0, gridN*gridN)
 	for i := 0; i < gridN; i++ {
@@ -186,56 +171,21 @@ func measureModelEval(lanes int, vdd float64, nEvals int) modelEvalRecord {
 			})
 		}
 	}
-	rec := modelEvalRecord{Lanes: lanes}
 	var sink float64
-	if lanes <= 1 {
-		nd := inst().(device.NativeDerivs)
-		run := func(n int) {
-			for e := 0; e < n; e++ {
-				b := bias[e%len(bias)]
-				der := nd.EvalDerivs4(b[1], b[0], 0, 0)
-				sink += der.Id
-			}
+	run := func(n int) {
+		for e := 0; e < n; e++ {
+			b := bias[e%len(bias)]
+			der := nd.EvalDerivs4(b[1], b[0], 0, 0)
+			sink += der.Id
 		}
-		run(len(bias)) // warm up (branch predictors)
-		runtime.GC()
-		t0 := time.Now()
-		run(nEvals)
-		rec.Evals = int64(nEvals)
-		rec.NsPerEval = float64(time.Since(t0).Nanoseconds()) / float64(nEvals)
-	} else {
-		proto := inst()
-		bd := device.NewBatch(lanes, proto)
-		bd.SetLane(0, proto)
-		for l := 1; l < lanes; l++ {
-			bd.SetLane(l, inst())
-		}
-		vd := make([]float64, lanes)
-		vg := make([]float64, lanes)
-		vs := make([]float64, lanes)
-		vb := make([]float64, lanes)
-		mode := make([]device.EvalMode, lanes)
-		for l := range mode {
-			mode[l] = device.EvalFull
-		}
-		out := device.NewDerivsBatch(lanes)
-		run := func(calls int) {
-			for e := 0; e < calls; e++ {
-				b := bias[e%len(bias)]
-				for l := 0; l < lanes; l++ {
-					vg[l], vd[l] = b[0], b[1]
-				}
-				bd.EvalDerivsBatch(vd, vg, vs, vb, mode, out)
-				sink += out.Id[0]
-			}
-		}
-		calls := (nEvals + lanes - 1) / lanes
-		run(len(bias)) // warm up
-		runtime.GC()
-		t0 := time.Now()
-		run(calls)
-		rec.Evals = int64(calls) * int64(lanes)
-		rec.NsPerEval = float64(time.Since(t0).Nanoseconds()) / float64(rec.Evals)
+	}
+	run(len(bias)) // warm up (branch predictors)
+	runtime.GC()
+	t0 := time.Now()
+	run(nEvals)
+	rec := modelEvalRecord{
+		Evals:     int64(nEvals),
+		NsPerEval: float64(time.Since(t0).Nanoseconds()) / float64(nEvals),
 	}
 	if rec.NsPerEval > 0 {
 		rec.EvalsPerSec = 1e9 / rec.NsPerEval
@@ -360,9 +310,9 @@ func gateUnit(m core.StatModel, vdd float64, sz circuits.Sizing,
 	}
 }
 
-// shardSide receives the coordinator accounting of a sharded unit's run
-// (mirrors batchSide for the lockstep rows): shard tiling, endpoint count,
-// and the dispatch/retry/speculation counters.
+// shardSide receives the coordinator accounting of a sharded unit's run:
+// shard tiling, endpoint count, and the dispatch/retry/speculation
+// counters.
 type shardSide struct {
 	mu        sync.Mutex
 	shards    int
@@ -471,135 +421,6 @@ func shardGateUnit(m core.StatModel, vdd float64, sz circuits.Sizing, shardSize,
 		}
 		side.set(res.Shards, shardSize, endpoints, res.Stats)
 		return pool.total(), res.Report, nil
-	}
-}
-
-// batchSide receives the lane accounting of a batched unit's timed pass:
-// lanes filled vs lanes offered across all batches, and the lanes evicted
-// from the lockstep path to the scalar fallback.
-type batchSide struct {
-	mu                       sync.Mutex
-	filled, offered, evicted int64
-}
-
-func (s *batchSide) set(filled, offered, evicted int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.filled, s.offered, s.evicted = filled, offered, evicted
-	s.mu.Unlock()
-}
-
-func (s *batchSide) read() (occupancyPct float64, evicted int64) {
-	if s == nil {
-		return 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.offered > 0 {
-		occupancyPct = 100 * float64(s.filled) / float64(s.offered)
-	}
-	return occupancyPct, s.evicted
-}
-
-// batchInstrState pairs one worker's lane batch with its recording handle,
-// forwarding the per-lane lifecycle arming and checkpoint rescue deltas.
-type batchInstrState struct {
-	b  *circuits.PooledGateBatch
-	so *experiments.SampleObs
-}
-
-// RescueCounts forwards the summed lane counters (montecarlo.RescueReporter).
-func (s batchInstrState) RescueCounts() map[string]int64 { return s.b.RescueCounts() }
-
-// LaneRescueCounts forwards one lane's counters (montecarlo.LaneRescueReporter).
-func (s batchInstrState) LaneRescueCounts(l int) map[string]int64 { return s.b.LaneRescueCounts(l) }
-
-// ArmLane forwards the per-lane context and budget (montecarlo.BatchSampleArmer).
-func (s batchInstrState) ArmLane(l int, ctx context.Context, bud lifecycle.Budget) {
-	s.b.ArmLane(l, ctx, bud)
-}
-
-// gateBatchUnit is gateUnit's K-lane lockstep twin: each worker owns one
-// PooledGateBatch and the engine fills its lanes from the shared index
-// stream, so up to `lanes` statistical samples share one SoA device
-// evaluation per Newton round while every waveform stays bit-identical to
-// the scalar rows. side (when non-nil) receives the run's lane accounting.
-func gateBatchUnit(m core.StatModel, vdd float64, sz circuits.Sizing, lanes int, side *batchSide,
-	build func(vdd float64, sz circuits.Sizing, nominal circuits.Factory, fast bool) (*circuits.PooledGate, error)) unitFn {
-	return func(ctx context.Context, n int, seed int64, workers int, opts montecarlo.RunOpts, fast bool, lcore spice.LinearCore, mi *experiments.MCInstr, mr *matRec) (spice.SolverStats, montecarlo.RunReport, error) {
-		var pool statsPool
-		var filled, offered atomic.Int64
-		var bm sync.Mutex
-		var benches []*circuits.PooledGateBatch
-		_, rep, err := montecarlo.MapPooledBatchReportCtx(ctx, n, seed, workers, lanes, opts,
-			func(int) (batchInstrState, error) {
-				b, err := circuits.NewPooledGateBatch(lanes, func() (*circuits.PooledGate, error) {
-					p, err := build(vdd, sz, m.Nominal(), fast)
-					if err != nil {
-						return nil, err
-					}
-					p.Ckt.LinearCore = lcore
-					return p, nil
-				})
-				if err != nil {
-					return batchInstrState{}, err
-				}
-				mn, nnz, _ := b.Lanes[0].Ckt.MatrixInfo()
-				mr.record(mn, nnz)
-				for _, p := range b.Lanes {
-					pool.add(p.Ckt.Stats)
-				}
-				bm.Lock()
-				benches = append(benches, b)
-				bm.Unlock()
-				so := mi.NewWorker()
-				b.SetObs(so.Scope())
-				return batchInstrState{b: b, so: so}, nil
-			},
-			func(st batchInstrState, idxs []int, rngs []*rand.Rand, out []float64, errs []error) {
-				b, so := st.b, st.so
-				sc := so.Scope()
-				live := len(idxs)
-				filled.Add(int64(live))
-				offered.Add(int64(lanes))
-				sc.Enter(obs.PhaseRestamp)
-				for j, idx := range idxs {
-					b.SetLaneSample(j, idx)
-					b.Restat(j, so.Factory(m.Statistical(rngs[j])))
-				}
-				sc.Exit()
-				outs := b.TransientBatch(live, gateTranStop, gateTranStep)
-				sc.Enter(obs.PhaseMeasure)
-				for j := range idxs {
-					if outs[j].Err != nil {
-						errs[j] = outs[j].Err
-						continue
-					}
-					p := b.Lanes[j]
-					out[j], errs[j] = measure.PairDelay(&p.Res, p.In, p.Out, vdd)
-				}
-				sc.Exit()
-				var sum spice.SolverStats
-				for _, p := range b.Lanes {
-					sum = sum.Add(p.Ckt.Stats())
-				}
-				so.EndBatch(live, sum)
-			})
-		var evicted int64
-		bm.Lock()
-		for _, b := range benches {
-			evicted += b.Evictions()
-		}
-		bm.Unlock()
-		side.set(filled.Load(), offered.Load(), evicted)
-		var occ float64
-		if offered.Load() > 0 {
-			occ = 100 * float64(filled.Load()) / float64(offered.Load())
-		}
-		mi.RecordBatchRun(evicted, occ)
-		return pool.total(), rep, err
 	}
 }
 
@@ -755,7 +576,7 @@ type benchLC struct {
 // freshly-run remainder; the distribution pass never checkpoints).
 func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 	openCk func(path, hash string, n int, resume bool) (benchCkpt, error),
-	n int, seed int64, workers, lanes int, side *batchSide, lc benchLC, dist bool, bo *benchObs) (unitRecord, error) {
+	n int, seed int64, workers int, lc benchLC, dist bool, bo *benchObs) (unitRecord, error) {
 	fast := mode == "fast"
 	opts := lc.opts
 	var ck benchCkpt
@@ -763,15 +584,8 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 		if err := os.MkdirAll(lc.ckDir, 0o755); err != nil {
 			return unitRecord{}, fmt.Errorf("checkpoint dir: %w", err)
 		}
-		suffix := ""
-		if lanes > 0 {
-			suffix = fmt.Sprintf("-k%d", lanes)
-		}
-		path := filepath.Join(lc.ckDir, fmt.Sprintf("%s-%s-%s%s.ckpt.json", name, core, mode, suffix))
+		path := filepath.Join(lc.ckDir, fmt.Sprintf("%s-%s-%s.ckpt.json", name, core, mode))
 		hash := montecarlo.ConfigHash(seed, n, lc.vdd, name, core.String(), mode)
-		if lanes > 0 {
-			hash = montecarlo.ConfigHash(seed, n, lc.vdd, name, core.String(), mode, lanes)
-		}
 		var err error
 		ck, err = openCk(path, hash, n, lc.resume)
 		if err != nil {
@@ -821,10 +635,6 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 	if mr.n > 0 {
 		rec.FillRatio = float64(mr.nnz) / (float64(mr.n) * float64(mr.n))
 	}
-	if lanes > 0 {
-		rec.Lanes = lanes
-		rec.LaneOccupancyPct, rec.LanesEvicted = side.read()
-	}
 	if stats.TranSteps > 0 {
 		rec.NewtonItersPerStep = float64(stats.NewtonIters) / float64(stats.TranSteps)
 		rec.JacRefreshPerStep = float64(stats.JacRefreshes) / float64(stats.TranSteps)
@@ -845,10 +655,7 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 		}
 		distOpts := lc.opts // never the checkpoint: the pass re-runs every sample
 		var unitSpan *obstrace.Span
-		if lc.rec != nil && lanes == 0 {
-			// The flight recorder covers the scalar-engine units only: the
-			// K-lane lockstep path shares solver work across lanes, so
-			// per-sample span attribution would be arbitrary there.
+		if lc.rec != nil {
 			unit := fmt.Sprintf("%s/%s/%s", name, core, mode)
 			unitSpan = lc.rec.Start(unit, obstrace.CatExperiment, lc.runSpan)
 			distOpts.Trace = obstrace.NewMC(lc.rec, unit, unitSpan.ID(), lc.traceK)
@@ -867,35 +674,14 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 		rec.NewtonItersDist = &it
 		rec.PhaseNsDist = make(map[string]distRecord, obs.NumPhases)
 		for p := obs.Phase(0); p < obs.NumPhases; p++ {
-			// A phase the unit never entered (device-eval-batch on the
-			// scalar engine) is left out rather than reported as zeros.
+			// A phase the unit never entered is left out rather than
+			// reported as zeros.
 			if h := snap.Find("mc_phase_" + p.String() + "_ns"); h.Sum != 0 {
 				rec.PhaseNsDist[p.String()] = distFrom(h)
 			}
 		}
 	}
 	return rec, nil
-}
-
-// parseLaneWidths parses the -lanes flag: a comma-separated list of
-// lockstep lane widths, where 0 selects the scalar engine.
-func parseLaneWidths(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad lane width %q (want a non-negative integer)", f)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no lane widths given")
-	}
-	return out, nil
 }
 
 // measureCheckpointOverhead microbenches the checkpoint hot path: Record
@@ -970,11 +756,10 @@ func main() {
 		n        = flag.Int("n", 64, "Monte Carlo samples per unit")
 		workers  = flag.Int("workers", 1, "parallel workers (1 keeps alloc counts clean)")
 		mode     = flag.String("mode", "both", "solver path: exact, fast, or both")
-		lanesSel = flag.String("lanes", "0,8", "comma-separated lockstep lane widths for the gate units (0 = scalar engine; widths above 0 add batched INV/NAND2 rows)")
 		shardSz  = flag.Int("shard-size", 16, "samples per shard for the sharded-coordinator INV/NAND2 rows (0 = skip those rows)")
 		shardEps = flag.Int("shard-endpoints", 2, "in-process loopback endpoints for the sharded rows")
 		coreSel  = flag.String("core", "both", "linear core: dense, sparse, or both (paired rows per unit)")
-		modelB   = flag.Bool("model-bench", true, "microbench the raw VS model evaluation (lanes 1 and 8) and record it under \"model_eval\" in -out")
+		modelB   = flag.Bool("model-bench", true, "microbench the raw VS model evaluation and record it under \"model_eval\" in -out")
 		out      = flag.String("out", "BENCH_mc.json", "output JSON path")
 		seed     = flag.Int64("seed", 20130318, "master random seed")
 		vdd      = flag.Float64("vdd", 0.9, "nominal supply voltage")
@@ -990,7 +775,7 @@ func main() {
 		lifecycleB    = flag.Bool("lifecycle-bench", true, "measure checkpoint and budget-check overheads and record them under \"lifecycle\" in -out")
 
 		metricsOut = flag.String("metrics-out", "", "write the per-unit observability snapshots (JSON) to this path; implies -dist")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON file of the distribution passes (per-unit spans + worst-sample flight recorder) to this path; implies -dist; scalar-engine units only")
+		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON file of the distribution passes (per-unit spans + worst-sample flight recorder) to this path; implies -dist")
 		traceK     = flag.Int("trace-k", 0, "with -trace-out, keep full span detail for the K worst samples per unit (0 = default 8)")
 		trace      = flag.Int("trace", 0, "emit every Nth structured solver trace event to stderr during the distribution passes (0 = off)")
 		logLevel   = flag.String("log-level", "warn", "minimum trace event level: debug|info|warn|error")
@@ -1097,12 +882,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	laneWidths, err := parseLaneWidths(*lanesSel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vsbench: -lanes: %v\n", err)
-		os.Exit(2)
-	}
-
 	m := core.DefaultStatVS()
 	sz := circuits.Sizing{WP: 600e-9, WN: 300e-9, L: 40e-9}
 	invBuild := func(vdd float64, sz circuits.Sizing, f circuits.Factory, fast bool) (*circuits.PooledGate, error) {
@@ -1113,34 +892,16 @@ func main() {
 	}
 	invFn := gateUnit(m, *vdd, sz, invBuild)
 	type unitRun struct {
-		name  string
-		fn    unitFn
-		ck    func(path, hash string, n int, resume bool) (benchCkpt, error)
-		lanes int
-		side  *batchSide
-		ssd   *shardSide
+		name string
+		fn   unitFn
+		ck   func(path, hash string, n int, resume bool) (benchCkpt, error)
+		ssd  *shardSide
 	}
-	var units []unitRun
-	for _, lw := range laneWidths {
-		if lw == 0 {
-			units = append(units,
-				unitRun{name: "INV_FO3", fn: invFn, ck: ckOpener[float64]()},
-				unitRun{name: "NAND2_FO3", fn: gateUnit(m, *vdd, sz, nandBuild), ck: ckOpener[float64]()},
-				unitRun{name: "DFF", fn: dffUnit(m, *vdd), ck: ckOpener[float64]()},
-				unitRun{name: "SRAM", fn: sramUnit(m, *vdd), ck: ckOpener[[2]float64]()},
-			)
-			continue
-		}
-		// Batched rows cover the two gate units; DFF setup search and the
-		// SRAM butterfly sweep drive their circuits data-dependently and
-		// would evict constantly, so they stay on the scalar engine.
-		invSide, nandSide := &batchSide{}, &batchSide{}
-		units = append(units,
-			unitRun{name: "INV_FO3", fn: gateBatchUnit(m, *vdd, sz, lw, invSide, invBuild),
-				ck: ckOpener[float64](), lanes: lw, side: invSide},
-			unitRun{name: "NAND2_FO3", fn: gateBatchUnit(m, *vdd, sz, lw, nandSide, nandBuild),
-				ck: ckOpener[float64](), lanes: lw, side: nandSide},
-		)
+	units := []unitRun{
+		{name: "INV_FO3", fn: invFn, ck: ckOpener[float64]()},
+		{name: "NAND2_FO3", fn: gateUnit(m, *vdd, sz, nandBuild), ck: ckOpener[float64]()},
+		{name: "DFF", fn: dffUnit(m, *vdd), ck: ckOpener[float64]()},
+		{name: "SRAM", fn: sramUnit(m, *vdd), ck: ckOpener[[2]float64]()},
 	}
 	if *shardSz > 0 {
 		// Sharded-coordinator rows: the same two gate MCs routed through
@@ -1204,12 +965,9 @@ func main() {
 	}
 	for _, u := range units {
 		label := u.name
-		if u.lanes > 0 {
-			label = fmt.Sprintf("%s(K%d)", u.name, u.lanes)
-		}
 		for _, core := range cores {
 			for _, md := range modes {
-				rec, err := runUnit(u.name, md, core, u.fn, u.ck, *n, *seed, *workers, u.lanes, u.side, lc, *dist, bo)
+				rec, err := runUnit(u.name, md, core, u.fn, u.ck, *n, *seed, *workers, lc, *dist, bo)
 				if err != nil {
 					if lifecycle.IsCancellation(err) {
 						doc.Interrupt = err.Error()
@@ -1228,10 +986,6 @@ func main() {
 					label, rec.LinearCore, rec.Mode, rec.MatrixN, rec.MatrixNNZ, rec.FillRatio,
 					rec.NsPerSample/1e3, rec.BytesPerSample, rec.AllocsPerSample,
 					rec.NewtonItersPerStep)
-				if rec.Lanes > 0 {
-					fmt.Printf("%-14s %-6s %-5s  lanes: occupancy %.1f%%, evicted %d\n",
-						label, rec.LinearCore, rec.Mode, rec.LaneOccupancyPct, rec.LanesEvicted)
-				}
 				u.ssd.apply(&rec)
 				if rec.Shards > 0 {
 					fmt.Printf("%-14s %-6s %-5s  shards: %d of size %d over %d endpoints, dispatched %d, retried %d, lost %d\n",
@@ -1248,16 +1002,12 @@ func main() {
 	}
 
 	if *modelB {
-		// Raw model microbench: the derivative bundle, scalar and 8-lane
-		// SoA, so BENCH_mc.json records the VS evaluation cost independent
-		// of solver and circuit effects.
-		const evalsPerRow = 200_000
-		for _, lw := range []int{1, 8} {
-			rec := measureModelEval(lw, *vdd, evalsPerRow)
-			fmt.Printf("model-eval  K%-2d  %8.1f ns/eval  %10.0f evals/sec\n",
-				rec.Lanes, rec.NsPerEval, rec.EvalsPerSec)
-			doc.ModelEval = append(doc.ModelEval, rec)
-		}
+		// Raw model microbench: the derivative bundle, so BENCH_mc.json
+		// records the VS evaluation cost independent of solver and circuit
+		// effects.
+		rec := measureModelEval(*vdd, 200_000)
+		fmt.Printf("model-eval  %8.1f ns/eval  %10.0f evals/sec\n", rec.NsPerEval, rec.EvalsPerSec)
+		doc.ModelEval = append(doc.ModelEval, rec)
 	}
 
 	if *lifecycleB {

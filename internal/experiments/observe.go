@@ -61,9 +61,6 @@ type MCInstr struct {
 	modelEvals   obs.CounterID
 	bypassed     obs.CounterID
 	rescueIDs    [7]obs.CounterID
-
-	batchEvicted   obs.CounterID
-	batchOccupancy obs.GaugeID
 }
 
 // NewtonIterBounds is the bucket layout for per-sample Newton iteration
@@ -83,34 +80,17 @@ func NewMCInstr(reg *obs.Registry) *MCInstr {
 	for i, st := range rescueStages {
 		mi.rescueIDs[i] = reg.Counter("mc_rescue_" + st + "_total")
 	}
-	mi.batchEvicted = reg.Counter("mc_batch_lanes_evicted_total")
-	mi.batchOccupancy = reg.Gauge("mc_batch_lane_occupancy_pct")
 	reg.SetHelp("mc_newton_iters", "Newton iterations per Monte Carlo sample.")
 	reg.SetHelp("mc_jac_refreshes", "Jacobian factorizations per Monte Carlo sample.")
 	reg.SetHelp("mc_samples_total", "Monte Carlo samples completed.")
 	reg.SetHelp("mc_samples_budget_total", "Samples that failed over their solver budget (wall, iteration cap, or hang watchdog).")
 	reg.SetHelp("mc_samples_cancelled_total", "In-flight samples drained by a run cancellation.")
-	reg.SetHelp("model_evals_total", "MOSFET compact-model evaluations (scalar calls and batched SoA lanes alike).")
+	reg.SetHelp("model_evals_total", "MOSFET compact-model evaluations.")
 	reg.SetHelp("model_evals_bypassed_total", "Transient MOSFET evaluations served by the device bypass instead of the model.")
 	for _, st := range rescueStages {
 		reg.SetHelp("mc_rescue_"+st+"_total", "Samples rescued by the "+st+" solver ladder stage.")
 	}
-	reg.SetHelp("mc_batch_lanes_evicted_total", "Lanes evicted from the K-lane lockstep path to the scalar engine.")
-	reg.SetHelp("mc_batch_lane_occupancy_pct", "Average filled-lane occupancy of the batched engine, in percent.")
 	return mi
-}
-
-// RecordBatchRun flushes a finished batched run's lane accounting: the total
-// lanes evicted from the lockstep path and the run's average lane occupancy
-// (filled lanes over lanes offered, in whole percent). Gauges merge
-// additively across shards, so call this once per run, not per worker.
-func (mi *MCInstr) RecordBatchRun(evicted int64, occupancyPct float64) {
-	if mi == nil || !obs.Enabled() {
-		return
-	}
-	sh := mi.Reg.NewShard()
-	sh.Add(mi.batchEvicted, evicted)
-	sh.Set(mi.batchOccupancy, int64(occupancyPct+0.5))
 }
 
 // NewWorker builds one worker's recording handle (a scope on a fresh
@@ -210,37 +190,6 @@ func (so *SampleObs) End(st spice.SolverStats) {
 	sh.Observe(mi.newtonIters, st.NewtonIters-so.prev.NewtonIters)
 	sh.Observe(mi.jacRefreshes, st.JacRefreshes-so.prev.JacRefreshes)
 	sh.Add(mi.samples, 1)
-	if d := st.ModelEvals - so.prev.ModelEvals; d != 0 {
-		sh.Add(mi.modelEvals, d)
-	}
-	if d := st.BypassedEvals - so.prev.BypassedEvals; d != 0 {
-		sh.Add(mi.bypassed, d)
-	}
-	var rescued int64
-	for i, d := range rescueDeltas(st, so.prev) {
-		if d != 0 {
-			sh.Add(mi.rescueIDs[i], d)
-			rescued += d
-		}
-	}
-	so.prev = st
-	mi.Progress.AddRescued(rescued)
-	so.sc.EndSample()
-}
-
-// EndBatch flushes one finished K-lane lockstep batch: lanes samples, the
-// batch's pooled Newton-work deltas as single histogram entries (per-batch,
-// not per-lane — lockstep work is shared, so a per-lane split would be
-// arbitrary), the rescue counters, and the phase-time accumulators. st must
-// be the summed cumulative stats of every lane circuit.
-func (so *SampleObs) EndBatch(lanes int, st spice.SolverStats) {
-	if so == nil {
-		return
-	}
-	mi, sh := so.mi, so.sc.Shard()
-	sh.Observe(mi.newtonIters, st.NewtonIters-so.prev.NewtonIters)
-	sh.Observe(mi.jacRefreshes, st.JacRefreshes-so.prev.JacRefreshes)
-	sh.Add(mi.samples, int64(lanes))
 	if d := st.ModelEvals - so.prev.ModelEvals; d != 0 {
 		sh.Add(mi.modelEvals, d)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -236,6 +237,56 @@ func TestCheckpointKillResumeBitIdentical(t *testing.T) {
 	}
 	if gotRep.Rescued["test-stage"] != wantRep.Rescued["test-stage"] {
 		t.Fatalf("resumed rescued %v, uninterrupted %v", gotRep.Rescued, wantRep.Rescued)
+	}
+}
+
+// fakeSink records checkpoint traffic and marks a fixed set as completed.
+type fakeSink struct {
+	mu   sync.Mutex
+	done map[int]bool
+	rec  map[int]bool
+}
+
+func (f *fakeSink) Completed(idx int) bool { return f.done[idx] }
+func (f *fakeSink) Record(idx int, _ any, _ map[string]int64, _ error) {
+	f.mu.Lock()
+	f.rec[idx] = true
+	f.mu.Unlock()
+}
+
+// TestCheckpointSkipsCompletedIndices verifies a resumed run skips every
+// index the checkpoint already holds: it is never re-run and never
+// re-recorded, and every other index runs and is recorded once.
+func TestCheckpointSkipsCompletedIndices(t *testing.T) {
+	const n = 24
+	sink := &fakeSink{done: map[int]bool{}, rec: map[int]bool{}}
+	for i := 0; i < n; i += 2 {
+		sink.done[i] = true // evens restored by a previous run
+	}
+	var mu sync.Mutex
+	ran := map[int]bool{}
+	_, rep, err := MapPooledReportCtx(context.Background(), n, 7, 2,
+		RunOpts{Checkpoint: sink}, noState,
+		func(_ struct{}, idx int, _ *rand.Rand) (int, error) {
+			mu.Lock()
+			ran[idx] = true
+			mu.Unlock()
+			return idx, nil
+		})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		odd := i%2 == 1
+		if ran[i] != odd {
+			t.Fatalf("sample %d ran=%v, want %v", i, ran[i], odd)
+		}
+		if sink.rec[i] != odd {
+			t.Fatalf("sample %d recorded=%v, want %v", i, sink.rec[i], odd)
+		}
+	}
+	if rep.Succeeded != n/2 {
+		t.Fatalf("succeeded %d, want %d", rep.Succeeded, n/2)
 	}
 }
 

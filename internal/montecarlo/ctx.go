@@ -1,6 +1,6 @@
 package montecarlo
 
-// Entry points and run options of the Monte Carlo engine (batch.go).
+// Entry points and run options of the Monte Carlo engine (engine.go).
 
 import (
 	"context"
@@ -14,17 +14,16 @@ import (
 )
 
 // SampleArmer is implemented by pooled worker states whose circuits enforce
-// per-sample budgets (see spice.Circuit.ArmSample). In a one-lane run the
-// engine arms each sample just before fn runs; states without the method
-// run unarmed.
+// per-sample budgets (see spice.Circuit.ArmSample). The engine arms each
+// sample just before fn runs; states without the method run unarmed.
 type SampleArmer interface {
 	ArmSample(ctx context.Context, b lifecycle.Budget)
 }
 
 // TraceAttacher is implemented by worker states that can route solver
 // phase spans to a sample tracer (pooled circuit benches forward to their
-// obs.Scope). In a traced one-lane run the engine attaches each worker's
-// tracer once at startup; states without the method still get sample-level
+// obs.Scope). In a traced run the engine attaches each worker's tracer
+// once at startup; states without the method still get sample-level
 // spans and diagnostics, just no phase detail.
 type TraceAttacher interface {
 	AttachTracer(t obs.Tracer)
@@ -78,13 +77,12 @@ type RunOpts struct {
 	// sharded results mergeable bit-identically (internal/shard). The result
 	// slice and any CheckpointSink stay local (indices 0..n-1).
 	Offset int
-	// Trace, when non-nil, arms the distributed-tracing flight recorder
-	// of a one-lane run: each worker gets a trace.SampleTracer (attached
-	// to states implementing TraceAttacher), every sample is bracketed by
-	// a span carrying its fixed-size diagnostic, and the K worst samples
-	// keep full span detail (merged deterministically across workers).
-	// Lockstep batches (lanes > 1) stay untraced. Nil keeps the hot path
-	// at one pointer check per sample and zero allocations.
+	// Trace, when non-nil, arms the distributed-tracing flight recorder:
+	// each worker gets a trace.SampleTracer (attached to states
+	// implementing TraceAttacher), every sample is bracketed by a span
+	// carrying its fixed-size diagnostic, and the K worst samples keep full
+	// span detail (merged deterministically across workers). Nil keeps the
+	// hot path at one pointer check per sample and zero allocations.
 	Trace *trace.MC
 }
 
@@ -125,33 +123,4 @@ func MapCtx[T any](ctx context.Context, n int, seed int64, workers int,
 		func(int) (struct{}, error) { return struct{}{}, nil },
 		func(_ struct{}, idx int, rng *rand.Rand) (T, error) { return fn(idx, rng) })
 	return out, err
-}
-
-// MapPooledReportCtx is MapCtx with per-worker pooled state, a RunReport
-// and lifecycle options: the engine's one-lane case. newState builds one S
-// per worker (a circuit template with preallocated solver scratch, say) and
-// fn evaluates sample idx against its worker's state, which must not leak
-// sample-dependent results across samples.
-//
-//   - A newState error or panic aborts the run before any sample runs; a
-//     panicking sample becomes a per-sample *PanicError and its worker and
-//     state carry on.
-//   - Under SkipAndRecord failed slots keep the zero value (drop them with
-//     Compact); under FailFast or a tripped cap the slice is nil and the
-//     error names the lowest failing index or the cap, with the RunReport
-//     still populated.
-//   - On cancellation the run returns its partial results with Cancelled
-//     set, in-flight samples counted as Interrupted (not Attempted), and an
-//     error wrapping ctx.Err().
-//   - A sample over its budget fails with *lifecycle.BudgetError under the
-//     failure policy.
-//   - With a checkpoint, completed samples are skipped and every completion
-//     is recorded.
-func MapPooledReportCtx[S, T any](ctx context.Context, n int, seed int64, workers int, opts RunOpts,
-	newState func(worker int) (S, error),
-	fn func(st S, idx int, rng *rand.Rand) (T, error)) ([]T, RunReport, error) {
-	return MapPooledBatchReportCtx(ctx, n, seed, workers, 1, opts, newState,
-		func(st S, idxs []int, rngs []*rand.Rand, out []T, errs []error) {
-			out[0], errs[0] = fn(st, idxs[0], rngs[0])
-		})
 }

@@ -248,7 +248,7 @@ func TestWatchdogHangFailFast(t *testing.T) {
 // shards executed via RunOpts.Offset and checks the concatenation is
 // bit-identical to the single full run — the determinism contract the
 // internal/shard coordinator is built on. Failures must carry global
-// indices on both the scalar and the batched engine.
+// indices.
 func TestOffsetShardsBitIdenticalToFullRun(t *testing.T) {
 	const n = 96
 	const seed = int64(4242)
@@ -298,35 +298,6 @@ func TestOffsetShardsBitIdenticalToFullRun(t *testing.T) {
 				t.Fatalf("shardSize %d: failure %d = (%d, %q), full run (%d, %q)",
 					shardSize, i, f.Idx, f.Err.Error(),
 					wantRep.Failures[i].Idx, wantRep.Failures[i].Err.Error())
-			}
-		}
-	}
-
-	// Batched engine: same offset contract — fn sees global indices and the
-	// lane RNGs are seeded by global index.
-	bfn := func(_ struct{}, idxs []int, rngs []*rand.Rand, out []float64, errs []error) {
-		for j, idx := range idxs {
-			out[j], errs[j] = fn(struct{}{}, idx, rngs[j])
-		}
-	}
-	for lo := 0; lo < n; lo += 32 {
-		part, rep, err := MapPooledBatchReportCtx(context.Background(), 32, seed, 2, 4,
-			RunOpts{Policy: pol, Offset: lo}, newState, bfn)
-		if err != nil {
-			t.Fatalf("batched shard at %d: %v", lo, err)
-		}
-		for j := range part {
-			if part[j] != want[lo+j] {
-				t.Fatalf("batched shard at %d: sample %d = %.17g, full run %.17g",
-					lo, lo+j, part[j], want[lo+j])
-			}
-		}
-		for _, f := range rep.Failures {
-			if f.Idx < lo || f.Idx >= lo+32 {
-				t.Fatalf("batched shard at %d: failure idx %d outside global range", lo, f.Idx)
-			}
-			if f.Idx%17 != 5 {
-				t.Fatalf("batched shard at %d: failure idx %d is not a scripted failure — local index leaked", lo, f.Idx)
 			}
 		}
 	}

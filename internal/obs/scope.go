@@ -14,14 +14,13 @@ import "time"
 type Phase int32
 
 const (
-	PhaseDraw      Phase = iota // sample-draw: RNG + parameter vector
-	PhaseRestamp                // re-stamp: pooled circuit Restat
-	PhaseAssemble               // assemble-J: device evaluation + Jacobian stamping
-	PhaseFactor                 // lu-factor: LU refresh (dense Factor / sparse Refactor)
-	PhaseTriSolve               // tri-solve: forward/back substitution per Newton iter
-	PhaseSolve                  // newton-solve: the solver proper (minus the above)
-	PhaseMeasure                // measure: waveform/metric extraction
-	PhaseBatchEval              // device-eval-batch: lockstep SoA device evaluation
+	PhaseDraw     Phase = iota // sample-draw: RNG + parameter vector
+	PhaseRestamp               // re-stamp: pooled circuit Restat
+	PhaseAssemble              // assemble-J: device evaluation + Jacobian stamping
+	PhaseFactor                // lu-factor: LU refresh (dense Factor / sparse Refactor)
+	PhaseTriSolve              // tri-solve: forward/back substitution per Newton iter
+	PhaseSolve                 // newton-solve: the solver proper (minus the above)
+	PhaseMeasure               // measure: waveform/metric extraction
 	NumPhases
 )
 
@@ -33,7 +32,6 @@ var phaseNames = [NumPhases]string{
 	"tri-solve",
 	"newton-solve",
 	"measure",
-	"device-eval-batch",
 }
 
 // String returns the phase's metric-name segment.

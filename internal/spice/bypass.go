@@ -84,7 +84,7 @@ func (c *Circuit) clearBypass() {
 // entry's point is served from the entry and counted in BypassedEvals;
 // otherwise the model is called, and only a full evaluation becomes a new
 // point, so values-only (chord) assemblies read the cache but never write
-// it. Lockstep lanes apply the same helpers in BatchSim.evalRound.
+// it.
 func (c *Circuit) tranEval(i int, x []float64, full bool) (device.Eval, *device.Derivs) {
 	if len(c.bypass) != len(c.mos) {
 		c.clearBypass()

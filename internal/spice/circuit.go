@@ -179,14 +179,6 @@ type Circuit struct {
 	// bypass.go).
 	bypass []bypassEntry
 
-	// devPre holds externally computed per-MOSFET derivative bundles for
-	// the next assemble/history call when devPreSet is true (the lockstep
-	// batch driver scatters its SoA results here, so the stamping
-	// arithmetic below stays byte-for-byte the scalar path's). Cleared by
-	// the batch driver when a lane leaves lockstep.
-	devPre    []device.Derivs
-	devPreSet bool
-
 	// Transient step scratch (see TransientInto) and reusable integrator
 	// history, so pooled Monte Carlo samples allocate nothing per transient.
 	trX, trPrev, trPrev2, trPred []float64
@@ -322,8 +314,7 @@ func (c *Circuit) SetMOSDevice(i int, dev device.Device) {
 	}
 }
 
-// MOSDevice returns the device model of the i-th MOSFET (AddMOS order),
-// the accessor the batch driver uses to bind lanes after a re-stamp.
+// MOSDevice returns the device model of the i-th MOSFET (AddMOS order).
 func (c *Circuit) MOSDevice(i int) device.Device { return c.mos[i].dev }
 
 // VSourceIndex returns the source index of the named voltage source, or -1.

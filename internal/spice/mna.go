@@ -98,11 +98,10 @@ type SolverStats struct {
 	// scheduling-dependent.
 	SparseRepivots int64
 
-	// ModelEvals counts MOSFET compact-model evaluations (scalar Eval /
-	// EvalDerivs calls and batched SoA lane-evaluations alike), the
-	// denominator for per-kernel model-throughput metrics. Incremented at
-	// the sites that invoke a model, not at the stamping sites that consume
-	// a pre-computed bundle, so batch and scalar paths count identically.
+	// ModelEvals counts MOSFET compact-model evaluations (Eval and
+	// EvalDerivs calls), the denominator for model-throughput metrics.
+	// Incremented at the sites that invoke a model, not at the stamping
+	// sites that consume a bundle.
 	ModelEvals int64
 
 	// BypassedEvals counts transient evaluations the device bypass served
@@ -294,12 +293,6 @@ func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx,
 		var dv *device.Derivs
 		var own device.Derivs
 		switch {
-		case c.devPreSet:
-			// Lockstep batch driver: the SoA kernel already evaluated (or
-			// bypassed) this device at exactly these terminal voltages;
-			// consume its bundle so the stamping arithmetic below is unchanged.
-			dv = &c.devPre[i]
-			ev = dv.Eval
 		case cacheEv:
 			ev, dv = c.tranEval(i, x, wantJ)
 		case wantJ:
@@ -349,8 +342,7 @@ func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx,
 // updateTranHistory advances the charge/current history after a converged
 // timestep at solution x. Capacitor charges are linear in x and recomputed
 // exactly. MOSFET terminal charges come from the evaluations cached by the
-// last Newton assembly (or from the lockstep batch driver's devPre bundles),
-// which sit at the pre-final-update Newton state: that differs from the
+// last Newton assembly, which sit at the pre-final-update Newton state: that differs from the
 // converged x by less than the solve's voltage tolerance per node, so the
 // charge error is far below the current tolerance in both the exact and
 // fast paths. Every caller runs immediately after a successful stepSolve on
@@ -369,12 +361,7 @@ func (c *Circuit) updateTranHistory(x []float64, ts *tranState) {
 		ts.iPrevCap[i] = iq
 	}
 	for i := range c.mos {
-		var e device.Eval
-		if c.devPreSet {
-			e = c.devPre[i].Eval
-		} else {
-			e = c.evCache[i]
-		}
+		e := &c.evCache[i]
 		q := [4]float64{e.Q.Qd, e.Q.Qg, e.Q.Qs, e.Q.Qb}
 		for k := 0; k < 4; k++ {
 			var iq float64
@@ -493,53 +480,6 @@ type luSolver interface {
 // depends on the carried factors being fresh (convergence is always judged
 // on the true residual).
 func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
-	var ns newtonState
-	ns.init(c, x, ctx)
-	for !ns.step(ctx) {
-	}
-	return ns.cerr
-}
-
-// newtonState is one Newton solve unrolled into an explicitly resumable
-// form: init is the scalar newton's preamble, step is exactly one iteration
-// of its loop. The scalar newton above is init + step-until-finished; the
-// lockstep batch driver (batch.go) interleaves step calls across K lanes,
-// performing the device evaluations for all lanes in one SoA kernel call
-// between rounds (wantJ tells it which lanes need the full bundle). The
-// split is pure code motion — per lane, the arithmetic and control flow are
-// the scalar solver's, statement for statement.
-type newtonState struct {
-	c *Circuit
-	// ctx is deliberately NOT stored: step takes it as an argument so the
-	// caller's stack-allocated assembleCtx never escapes (storing it here
-	// costs one heap allocation per solve on the pooled hot path).
-	x         []float64
-	f         []float64
-	scratch   []float64
-	jac       *linalg.Matrix
-	useSparse bool
-	lu        luSolver
-	maxIter   int
-	key       luKey
-	tv, ti    float64
-	prevDv    float64
-	forceJ    bool
-	lastDv    float64
-	lastF     float64
-	lastWorst int
-	iter      int
-	// wantJ is the already-made refresh decision for the NEXT step call, so
-	// the batch driver knows whether the lane needs a full derivative bundle
-	// or values only before evaluating.
-	wantJ bool
-	// finished/cerr are the outcome once step returns true.
-	finished bool
-	cerr     *ConvergenceError
-}
-
-// init replicates the scalar newton preamble: scratch sizing, linear-core
-// resolution, carried-factorization pickup.
-func (ns *newtonState) init(c *Circuit, x []float64, ctx *assembleCtx) {
 	n := c.unknowns()
 	// Newton scratch buffers live on the circuit (one goroutine per
 	// circuit), so transient loops do not re-allocate per step.
@@ -571,176 +511,151 @@ func (ns *newtonState) init(c *Circuit, x []float64, ctx *assembleCtx) {
 	if maxIter <= 0 {
 		maxIter = 150
 	}
-	*ns = newtonState{
-		c: c, x: x,
-		f: c.nwF, scratch: c.nwScratch, jac: c.nwJac,
-		useSparse: useSparse,
-		maxIter:   maxIter,
-		key:       ctxKey(ctx),
-		tv:        tolV, ti: tolI,
-		prevDv:    math.Inf(1),
-		forceJ:    true,
-		lastWorst: -1,
-	}
+	f, scratch, jac := c.nwF, c.nwScratch, c.nwJac
+	key := ctxKey(ctx)
+	tv, ti := tolV, tolI
 	if ctx.fast {
-		ns.tv, ns.ti = tolVFast, tolIFast
+		tv, ti = tolVFast, tolIFast
 	}
-	if ctx.carry && c.luValid && c.luKey == ns.key {
+	nNodes := len(c.nodeNames)
+	var lu luSolver
+	prevDv := math.Inf(1)
+	forceJ := true
+	if ctx.carry && c.luValid && c.luKey == key {
 		// Start as chord Newton on the carried factorization: prevDv below
 		// the refresh threshold, no forced refresh. The first update that
 		// moves any node by more than 50 mV triggers a refresh.
 		if useSparse {
-			ns.lu = c.spLU
+			lu = c.spLU
 		} else {
-			ns.lu = c.nwLU
+			lu = c.nwLU
 		}
-		ns.prevDv = 0.1
-		ns.forceJ = false
+		prevDv = 0.1
+		forceJ = false
 	}
 	c.luValid = false
-	// Refresh policy. The VS model's native derivative bundle falls out of
-	// the series solve, so a with-Jacobian assembly costs the same device
-	// work as a values-only one: in exact mode full Newton (refresh every
-	// iteration, quadratic convergence) beats chord iteration, whose only
-	// remaining saving is the factorization. Fast mode keeps chord Newton —
-	// there the carried factorization skips assembly AND factoring, and the
-	// stall detector refreshes whenever contraction slows.
-	ns.wantJ = !ctx.fast || ns.lu == nil || ns.forceJ || ns.prevDv > 0.2
-}
-
-// fail records a terminal convergence error.
-func (ns *newtonState) fail(cerr *ConvergenceError) bool {
-	ns.finished = true
-	ns.cerr = cerr
-	return true
-}
-
-// step runs one Newton iteration (or reports iteration-budget exhaustion),
-// returning true when the solve is finished — converged (cerr nil) or
-// failed (cerr set). Exactly the body of the scalar newton's loop.
-func (ns *newtonState) step(ctx *assembleCtx) bool {
-	c, x := ns.c, ns.x
-	nNodes := len(c.nodeNames)
-	if ns.iter >= ns.maxIter {
-		cerr := &ConvergenceError{Iters: ns.maxIter, Residual: ns.lastF,
-			DeltaV: ns.lastDv, Err: ErrNoConvergence}
-		if ns.lastWorst >= 0 {
-			cerr.Node = c.unknownName(ns.lastWorst)
+	var lastDv, lastF float64
+	lastWorst := -1
+	for iter := 0; iter < maxIter; iter++ {
+		// Lifecycle check at the iteration boundary: every analysis (DC
+		// rungs, transient steps, sub-step rescue pieces) funnels through
+		// here, so one check site covers them all. Nil on the hot path,
+		// allocation-free while the sample stays within budget.
+		if lcErr := c.checkLifecycle(); lcErr != nil {
+			return &ConvergenceError{Iters: iter, Residual: lastF, DeltaV: lastDv, Err: lcErr}
 		}
-		return ns.fail(cerr)
-	}
-	// Lifecycle check at the iteration boundary: every analysis (DC rungs,
-	// transient steps, sub-step rescue pieces) funnels through here, so one
-	// check site covers them all. Nil on the hot path, allocation-free while
-	// the sample stays within budget.
-	if lcErr := c.checkLifecycle(); lcErr != nil {
-		return ns.fail(&ConvergenceError{Iters: ns.iter, Residual: ns.lastF,
-			DeltaV: ns.lastDv, Err: lcErr})
-	}
-	f, jac, scratch := ns.f, ns.jac, ns.scratch
-	// Assembly-with-Jacobian is the "assemble-J" observability phase and the
-	// factorization refresh is "lu-factor", both carved out of newton-solve
-	// so the device-model and linear-algebra costs are separately visible.
-	wantJ := ns.wantJ
-	if wantJ {
-		c.obsScope.Enter(obs.PhaseAssemble)
-		if ns.useSparse {
-			c.assembleSparse(x, f, ctx)
+		// Refresh policy. The VS model's native derivative bundle falls out
+		// of the series solve, so a with-Jacobian assembly costs the same
+		// device work as a values-only one: in exact mode full Newton
+		// (refresh every iteration, quadratic convergence) beats chord
+		// iteration, whose only remaining saving is the factorization. Fast
+		// mode keeps chord Newton — there the carried factorization skips
+		// assembly AND factoring, and the stall detector refreshes whenever
+		// contraction slows.
+		wantJ := !ctx.fast || lu == nil || forceJ || prevDv > 0.2
+		// Assembly-with-Jacobian is the "assemble-J" observability phase and
+		// the factorization refresh is "lu-factor", both carved out of
+		// newton-solve so the device-model and linear-algebra costs are
+		// separately visible.
+		if wantJ {
+			c.obsScope.Enter(obs.PhaseAssemble)
+			if useSparse {
+				c.assembleSparse(x, f, ctx)
+			} else {
+				c.assemble(x, f, jac, ctx, true)
+			}
+			c.obsScope.Exit()
 		} else {
-			c.assemble(x, f, jac, ctx, true)
+			c.assemble(x, f, nil, ctx, false)
 		}
+		// Reject NaN/Inf residuals before they reach the linear solve: a
+		// single non-finite model evaluation would otherwise smear NaN over
+		// the whole update vector and burn the full iteration budget (NaN
+		// compares false against every tolerance).
+		if i := firstNonFinite(f); i >= 0 {
+			c.stats.NonFiniteRejects++
+			c.traceNonFinite("newton-residual", ctx.t)
+			return &ConvergenceError{Iters: iter + 1, Node: c.unknownName(i),
+				Residual: f[i], Err: ErrNonFiniteSolution}
+		}
+		if wantJ {
+			c.obsScope.Enter(obs.PhaseFactor)
+			var err error
+			if useSparse {
+				err = c.factorSparse()
+				lu = c.spLU
+			} else {
+				err = c.nwLU.Factor(jac)
+				lu = c.nwLU
+			}
+			c.obsScope.Exit()
+			if err != nil {
+				return &ConvergenceError{Iters: iter + 1,
+					Err: fmt.Errorf("singular Jacobian: %w", err)}
+			}
+			c.stats.JacRefreshes++
+		}
+		c.stats.NewtonIters++
+		c.obsScope.Enter(obs.PhaseTriSolve)
+		dx := lu.SolvePermuting(f, scratch)
 		c.obsScope.Exit()
-	} else {
-		c.assemble(x, f, nil, ctx, false)
-	}
-	// Reject NaN/Inf residuals before they reach the linear solve: a single
-	// non-finite model evaluation would otherwise smear NaN over the whole
-	// update vector and burn the full iteration budget (NaN compares false
-	// against every tolerance).
-	if i := firstNonFinite(f); i >= 0 {
-		c.stats.NonFiniteRejects++
-		c.traceNonFinite("newton-residual", ctx.t)
-		return ns.fail(&ConvergenceError{Iters: ns.iter + 1, Node: c.unknownName(i),
-			Residual: f[i], Err: ErrNonFiniteSolution})
-	}
-	if wantJ {
-		c.obsScope.Enter(obs.PhaseFactor)
-		var err error
-		if ns.useSparse {
-			err = c.factorSparse()
-			ns.lu = c.spLU
-		} else {
-			err = c.nwLU.Factor(jac)
-			ns.lu = c.nwLU
+		// A finite residual through a near-singular factorization can still
+		// produce Inf/NaN updates; reject them before touching x.
+		if i := firstNonFinite(dx); i >= 0 {
+			c.stats.NonFiniteRejects++
+			c.traceNonFinite("newton-update", ctx.t)
+			return &ConvergenceError{Iters: iter + 1, Node: c.unknownName(i),
+				Residual: lastF, Err: ErrNonFiniteSolution}
 		}
-		c.obsScope.Exit()
-		if err != nil {
-			return ns.fail(&ConvergenceError{Iters: ns.iter + 1,
-				Err: fmt.Errorf("singular Jacobian: %w", err)})
-		}
-		c.stats.JacRefreshes++
-	}
-	c.stats.NewtonIters++
-	c.obsScope.Enter(obs.PhaseTriSolve)
-	dx := ns.lu.SolvePermuting(f, scratch)
-	c.obsScope.Exit()
-	// A finite residual through a near-singular factorization can still
-	// produce Inf/NaN updates; reject them before touching x.
-	if i := firstNonFinite(dx); i >= 0 {
-		c.stats.NonFiniteRejects++
-		c.traceNonFinite("newton-update", ctx.t)
-		return ns.fail(&ConvergenceError{Iters: ns.iter + 1, Node: c.unknownName(i),
-			Residual: ns.lastF, Err: ErrNonFiniteSolution})
-	}
 
-	// Voltage limiting on node entries.
-	maxDv := 0.0
-	for i := 0; i < nNodes; i++ {
-		if dx[i] > vLimit {
-			dx[i] = vLimit
-		} else if dx[i] < -vLimit {
-			dx[i] = -vLimit
+		// Voltage limiting on node entries.
+		maxDv := 0.0
+		for i := 0; i < nNodes; i++ {
+			if dx[i] > vLimit {
+				dx[i] = vLimit
+			} else if dx[i] < -vLimit {
+				dx[i] = -vLimit
+			}
+			if a := math.Abs(dx[i]); a > maxDv {
+				maxDv = a
+			}
 		}
-		if a := math.Abs(dx[i]); a > maxDv {
-			maxDv = a
+		for i := range x {
+			x[i] -= dx[i]
 		}
-	}
-	for i := range x {
-		x[i] -= dx[i]
-	}
 
-	maxF := 0.0
-	worst := -1
-	for i := 0; i < nNodes; i++ {
-		if a := math.Abs(f[i]); a > maxF {
-			maxF = a
-			worst = i
+		maxF := 0.0
+		worst := -1
+		for i := 0; i < nNodes; i++ {
+			if a := math.Abs(f[i]); a > maxF {
+				maxF = a
+				worst = i
+			}
 		}
-	}
-	ns.lastDv, ns.lastF, ns.lastWorst = maxDv, maxF, worst
-	if maxDv < ns.tv && maxF < ns.ti {
-		c.luValid = true
-		c.luKey = ns.key
-		ns.finished = true
-		return true
-	}
-	// A stale Jacobian must still contract; refresh when it stalls.
-	ns.forceJ = !wantJ && maxDv > 0.5*ns.prevDv
-	if !wantJ && !ns.forceJ && maxDv > ns.tv {
-		// Chord contraction is linear, so the remaining iteration count is
-		// predictable from the observed ratio. Refresh unless the frozen
-		// factors will finish within a few more passes — this catches
-		// switching edges on their first slow iteration instead of grinding
-		// toward tolerance at ratio ~0.4.
-		rho := maxDv / ns.prevDv
-		if rho > 0.04 && math.Log(ns.tv/maxDv) < 3*math.Log(rho) {
-			ns.forceJ = true
+		lastDv, lastF, lastWorst = maxDv, maxF, worst
+		if maxDv < tv && maxF < ti {
+			c.luValid = true
+			c.luKey = key
+			return nil
 		}
+		// A stale Jacobian must still contract; refresh when it stalls.
+		forceJ = !wantJ && maxDv > 0.5*prevDv
+		if !wantJ && !forceJ && maxDv > tv {
+			// Chord contraction is linear, so the remaining iteration count
+			// is predictable from the observed ratio. Refresh unless the
+			// frozen factors will finish within a few more passes — this
+			// catches switching edges on their first slow iteration instead
+			// of grinding toward tolerance at ratio ~0.4.
+			rho := maxDv / prevDv
+			if rho > 0.04 && math.Log(tv/maxDv) < 3*math.Log(rho) {
+				forceJ = true
+			}
+		}
+		prevDv = maxDv
 	}
-	ns.prevDv = maxDv
-	ns.iter++
-	// See init: exact mode runs full Newton now that the analytic device
-	// bundle makes with-Jacobian assembly no dearer than values-only.
-	ns.wantJ = !ctx.fast || ns.lu == nil || ns.forceJ || ns.prevDv > 0.2
-	return false
+	cerr := &ConvergenceError{Iters: maxIter, Residual: lastF, DeltaV: lastDv, Err: ErrNoConvergence}
+	if lastWorst >= 0 {
+		cerr.Node = c.unknownName(lastWorst)
+	}
+	return cerr
 }

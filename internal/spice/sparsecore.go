@@ -276,9 +276,6 @@ func (c *Circuit) assembleSparse(x, f []float64, ctx *assembleCtx) {
 		var dv *device.Derivs
 		var own device.Derivs
 		switch {
-		case c.devPreSet:
-			dv = &c.devPre[i] // lockstep batch driver pre-evaluated this device
-			ev = dv.Eval
 		case cacheEv:
 			ev, dv = c.tranEval(i, x, true)
 		default:

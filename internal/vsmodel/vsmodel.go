@@ -201,8 +201,7 @@ type coreOut struct {
 // exp/log budget as a plain one — which is what lets the series solver run
 // Newton instead of secant and the simulator skip finite differences
 // entirely. The value arithmetic is statement-identical to the historical
-// coreBiasPre, and the batched SoA kernel (batch.go) replicates this body
-// statement for statement: keep the three in sync. The result is written
+// coreBiasPre: keep the two in sync. The result is written
 // into the caller's coreOut in place (the 96-byte struct would otherwise be
 // copied twice per solver iteration).
 func (p *Params) coreBiasPreD(vgsi, vdsi, vbsi, delta, vdsats float64, co *coreOut) {
@@ -319,8 +318,7 @@ func (p *Params) solveSeries(vgs, vds, vbs float64) (id, qixo, fsat, vdsi float6
 // its error is provably below the tolerance (firstIterateConverged,
 // newtonConverged), and moves qixo and Fsat to it to first order
 // (acceptMove). A typical solve makes one or two core evaluations, 1.74 on
-// average over INV FO3 delay samples. The batched SoA kernel (batch.go)
-// replicates this iteration statement for statement: keep the two in sync.
+// average over INV FO3 delay samples.
 func (p *Params) solveSeriesD(vgs, vds, vbs float64) seriesState {
 	w := p.Weff()
 	if w <= 0 {
@@ -333,7 +331,7 @@ func (p *Params) solveSeriesD(vgs, vds, vbs float64) seriesState {
 	vdsats := p.Vxo * leff / p.Mu
 
 	// eval writes the core evaluation straight into st.co ("last evaluation
-	// wins", matching the batched kernel's in-place lane slot).
+	// wins").
 	var st seriesState
 	eval := func(i float64) (f, df, vdsiOut float64) {
 		st.evals++
