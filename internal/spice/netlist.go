@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -131,8 +132,13 @@ func (d *Deck) parseLine(line string) error {
 		if err := firstErr(err1, err2, err3); err != nil {
 			return err
 		}
-		if f0 <= 0 || f1 < f0 || np < 1 {
+		if f0 <= 0 || f1 < f0 {
 			return fmt.Errorf(".ac bad range")
+		}
+		// The point count must be a whole number that int holds exactly
+		// (float64(math.MaxInt) rounds up to 2^63, one past the range).
+		if np < 1 || np != math.Trunc(np) || np >= float64(math.MaxInt) {
+			return fmt.Errorf(".ac point count %s is not an integer >= 1", fields[4])
 		}
 		d.ACCards = append(d.ACCards, ACCard{Source: fields[1], FStart: f0, FStop: f1, Points: int(np)})
 		return nil
@@ -159,6 +165,10 @@ func (d *Deck) parseLine(line string) error {
 		if err != nil {
 			return err
 		}
+		// A positive value can still overflow its conductance 1/v.
+		if !(v > 0) || math.IsInf(1/v, 0) {
+			return fmt.Errorf("resistor %s value %s is not positive", name, fields[3])
+		}
 		c.AddR(name, c.Node(fields[1]), c.Node(fields[2]), v)
 	case 'C', 'c':
 		if len(fields) != 4 {
@@ -167,6 +177,9 @@ func (d *Deck) parseLine(line string) error {
 		v, err := ParseValue(fields[3])
 		if err != nil {
 			return err
+		}
+		if v < 0 {
+			return fmt.Errorf("capacitor %s value %s is negative", name, fields[3])
 		}
 		c.AddC(name, c.Node(fields[1]), c.Node(fields[2]), v)
 	case 'V', 'v', 'I', 'i':
@@ -321,7 +334,17 @@ func parseParen(s string) ([]float64, error) {
 // ParseValue parses a SPICE number with engineering suffix: f(1e-15),
 // p(1e-12), n(1e-9), u(1e-6), m(1e-3), k(1e3), meg(1e6), g(1e9), t(1e12).
 // Trailing unit letters after the suffix are ignored (e.g. "40nm", "1pF").
+// The result is always finite: a value that overflows float64, with or
+// without its suffix, is an error.
 func ParseValue(tok string) (float64, error) {
+	v, err := parseValue(tok)
+	if err == nil && math.IsInf(v, 0) {
+		return 0, fmt.Errorf("value %q out of range", tok)
+	}
+	return v, err
+}
+
+func parseValue(tok string) (float64, error) {
 	t := strings.ToLower(strings.TrimSpace(tok))
 	if t == "" {
 		return 0, fmt.Errorf("empty value")

@@ -2,6 +2,8 @@ package spice
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -151,6 +153,14 @@ func TestParseNetlistErrors(t *testing.T) {
 		"t\n.ic frog=3\n",                // bad ic token
 		"t\nV1 a 0 PULSE(1 2 3)\n",       // short pulse
 		"t\nV1 a 0 PWL(1 2 3)\n",         // odd pwl
+		"t\nR1 a 0 0\n",                  // zero resistance
+		"t\nR1 a 0 -1k\n",                // negative resistance
+		"t\nR1 a 0 1e-320\n",             // conductance overflows
+		"t\nC1 a 0 -1p\n",                // negative capacitance
+		"t\nR1 a 0 1e308meg\n",           // value overflows with its suffix
+		"t\n.ac V1 1 10 1e300\n",         // point count beyond int
+		"t\n.ac V1 1 10 2.5\n",           // fractional point count
+		"t\n.ac V1 1 10 0\n",             // no points
 	}
 	for _, deck := range bad {
 		if _, err := ParseNetlist(strings.NewReader(deck)); err == nil {
@@ -220,4 +230,68 @@ C1 out 0 1n
 			t.Fatalf("deck %q should fail", bad)
 		}
 	}
+}
+
+// FuzzParseNetlist feeds arbitrary decks to the parser, seeded with the
+// example netlists: it must return an error rather than panic, and every
+// card it accepts must meet the bounds it enforces.
+func FuzzParseNetlist(f *testing.F) {
+	paths, err := filepath.Glob("../../examples/netlists/*.sp")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no example netlists to seed from (%v)", err)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(b))
+	}
+	f.Add("t\nR 1 0 0\n")
+	f.Add("t\nC1 a 0 1p\nR1 a 0 1k\n.ac V1 1 10 1e300\n")
+	finite := func(vs ...float64) bool {
+		for _, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+		return true
+	}
+	f.Fuzz(func(t *testing.T, deck string) {
+		d, err := ParseNetlist(strings.NewReader(deck))
+		if err != nil {
+			return
+		}
+		c := d.Circuit
+		for _, r := range c.rs {
+			if !(r.g > 0) || !finite(r.g) {
+				t.Fatalf("resistor %s accepted with conductance %g", r.name, r.g)
+			}
+		}
+		for _, cp := range c.cs {
+			if !(cp.c >= 0) || !finite(cp.c) {
+				t.Fatalf("capacitor %s accepted with value %g", cp.name, cp.c)
+			}
+		}
+		for _, dc := range d.DCCards {
+			if !finite(dc.Start, dc.Stop, dc.Step) || !(dc.Step > 0) || dc.Stop < dc.Start {
+				t.Fatalf(".dc card accepted out of bounds: %+v", dc)
+			}
+		}
+		for _, tr := range d.TranCards {
+			if !finite(tr.Step, tr.Stop) {
+				t.Fatalf(".tran card accepted out of bounds: %+v", tr)
+			}
+		}
+		for _, ac := range d.ACCards {
+			if !finite(ac.FStart, ac.FStop) || !(ac.FStart > 0) || ac.FStop < ac.FStart || ac.Points < 1 {
+				t.Fatalf(".ac card accepted out of bounds: %+v", ac)
+			}
+		}
+		for node, v := range d.ICs {
+			if !finite(v) {
+				t.Fatalf(".ic v(%s) accepted as %g", node, v)
+			}
+		}
+	})
 }
