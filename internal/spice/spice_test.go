@@ -107,6 +107,60 @@ func TestRCTransientMatchesAnalytic(t *testing.T) {
 	}
 }
 
+// TestIntegratorConvergenceOrder fits the global error order of both
+// integrators on an RC discharge from v(out) = 1 V (UIC), v = e^(−t/τ),
+// over a step sweep h = τ/10 … τ/160 across 3τ: the log–log slope of
+// max |v − e^(−t/τ)| against h must be 1 for backward Euler and 2 for
+// trapezoidal, each within 0.1. The smallest error is far above the Newton
+// voltage tolerance, so the fit sees the integrator, not the solver.
+func TestIntegratorConvergenceOrder(t *testing.T) {
+	const R, C = 1000.0, 1e-9
+	tau := R * C
+	maxErr := func(trap bool, h float64) float64 {
+		c := New()
+		out := c.Node("out")
+		c.AddR("R", out, Gnd, R)
+		c.AddC("C", out, Gnd, C)
+		res, err := c.Transient(TranOpts{Stop: 3 * tau, Step: h, Trap: trap, UIC: true,
+			IC: map[int]float64{out: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst := 0.0
+		for k, tm := range res.Time {
+			if d := math.Abs(nv(res.xs[k], out) - math.Exp(-tm/tau)); d > worst {
+				worst = d
+			}
+		}
+		return worst
+	}
+	for _, tc := range []struct {
+		name  string
+		trap  bool
+		order float64
+	}{{"BE", false, 1}, {"trap", true, 2}} {
+		// Least-squares slope of log(err) against log(h).
+		var sx, sy, sxx, sxy float64
+		var errs []float64
+		const pts = 5
+		for i := 0; i < pts; i++ {
+			h := tau / (10 * float64(int(1)<<i))
+			e := maxErr(tc.trap, h)
+			if !(e > 1e3*tolV) {
+				t.Fatalf("%s h=τ/%d: error %g is too close to the solver tolerance to fit", tc.name, 10<<i, e)
+			}
+			errs = append(errs, e)
+			x, y := math.Log(h), math.Log(e)
+			sx, sy, sxx, sxy = sx+x, sy+y, sxx+x*x, sxy+x*y
+		}
+		slope := (pts*sxy - sx*sy) / (pts*sxx - sx*sx)
+		if math.Abs(slope-tc.order) > 0.1 {
+			t.Fatalf("%s: fitted order %.3f, want %g ± 0.1 (errors %g)", tc.name, slope, tc.order, errs)
+		}
+		t.Logf("%s: fitted order %.3f (errors %g)", tc.name, slope, errs)
+	}
+}
+
 func TestTrapMoreAccurateThanBE(t *testing.T) {
 	// On a sine-driven RC, trapezoidal at the same step must beat BE.
 	run := func(trap bool) float64 {
