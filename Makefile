@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle batch shard shardcrash trace rng tranrecord numerics
+.PHONY: tier1 tier2 bench bench-mc race vet obs sparse lifecycle shard shardcrash trace rng tranrecord numerics decode
 
 # Tier 1: the build + vet + test gate every change must keep green
 # (ROADMAP.md).
-tier1: vet obs sparse lifecycle batch shard shardcrash trace rng tranrecord numerics
+tier1: vet obs sparse lifecycle shard shardcrash trace rng tranrecord numerics decode
 	$(GO) build ./... && $(GO) test ./...
 
 # Static analysis alone (also the first rung of tier1).
@@ -37,15 +37,6 @@ lifecycle:
 	$(GO) test -race -count=2 -run 'TestArmSample|TestArmed' ./internal/spice/
 	$(GO) test -race -count=2 -run 'TestRunPooledMCKillAndResume|TestHangSample|TestConfigHashStable|TestDeviceMCHonoursCtx' ./internal/experiments/
 
-# Batched lockstep engine rung: scalar-vs-batch bit identity (kernel and
-# whole-engine), lane eviction, the zero-allocation batched transient, and
-# the K-lane Monte Carlo scheduler — under the race detector, because lane
-# blocks share the per-worker batch simulator and report aggregation.
-batch:
-	$(GO) test -race ./internal/vsmodel/ -run 'TestBatch|TestFallbackBatch|TestNativeDerivs' -count=1
-	$(GO) test -race ./internal/circuits/ -run 'TestBatch' -count=1
-	$(GO) test -race ./internal/montecarlo/ -run 'TestBatch' -count=1
-
 # Sharded-coordinator rung: the coordinator/worker protocol under the race
 # detector and repeated — the commit CAS, retry/backoff timers, straggler
 # speculation, and worker retirement all race by design — plus the full
@@ -58,8 +49,8 @@ shard:
 	$(GO) vet ./internal/shard/ ./cmd/vsshard/
 	$(GO) test -race -short -count=2 ./internal/shard/
 	$(GO) test -run xxx -fuzz FuzzShardHandler -fuzztime 10s ./internal/shard/
-	$(GO) test -race -count=2 -run 'TestSharded|TestBatchEvictionCancel' ./internal/experiments/
-	$(GO) test -race -count=2 -run 'TestOffset|TestBatchMidRunCancel|TestRecordedFailure|TestSyncDir' ./internal/montecarlo/
+	$(GO) test -race -count=2 -run 'TestSharded' ./internal/experiments/
+	$(GO) test -race -count=2 -run 'TestOffset|TestRecordedFailure|TestSyncDir' ./internal/montecarlo/
 
 # Crash-safety rung: the durable dispatch journal (kill-at-50% resume,
 # torn-tail recovery, foreign-run rejection), the streaming constant-memory
@@ -77,13 +68,12 @@ shardcrash:
 
 # Distributed-tracing rung: the span/flight-recorder layer under the race
 # detector (worker tracers merge into shared worst-K sets), the cross-
-# transport trace-stitching and worst-K determinism contracts, the batched
-# phase-accounting acceptance, and the zero-alloc guard pinning that a
-# tracing-disabled armed transient step allocates nothing.
+# transport trace-stitching and worst-K determinism contracts, and the
+# zero-alloc guard pinning that a tracing-disabled armed transient step
+# allocates nothing.
 trace:
 	$(GO) test -race -count=2 ./internal/obs/trace/
 	$(GO) test -race -count=1 -run 'TestTrace|TestClassifyVerdict' ./internal/montecarlo/ ./internal/shard/
-	$(GO) test -race -count=1 -run 'TestBatchedPhaseSelfTimesCoverWall' ./internal/experiments/
 	$(GO) test -count=1 -run 'TestTracingDisabledArmedStepAllocFree|TestScopeForwardsSolverSpans' ./internal/spice/
 	$(GO) test -count=1 -run 'TestPrometheusGolden|TestHelpSurvives' ./internal/obs/
 
@@ -114,15 +104,23 @@ tranrecord:
 # Eval equal to EvalDerivs4's values, and the pinned core-evaluation budget),
 # both models' native Jacobians against central finite differences over
 # ±6σ mismatched cards, and the device bypass's first-order bundle against
-# a direct evaluation for terminal moves within its 10 nV window — the
-# seeded cases, then a short fuzz of each target.
+# a direct evaluation for terminal moves within its 10 nV window, and the
+# integrators' fitted convergence order on an RC discharge (backward Euler
+# 1, trapezoidal 2) — the seeded cases, then a short fuzz of each target.
 numerics:
 	$(GO) test -count=1 -run 'SeriesSolve|NativeDerivs' ./internal/vsmodel/ ./internal/bsim/
-	$(GO) test -count=1 -run 'BypassExtrapolation' ./internal/spice/
+	$(GO) test -count=1 -run 'BypassExtrapolation|TestIntegratorConvergenceOrder' ./internal/spice/
 	$(GO) test -run xxx -fuzz FuzzSeriesSolve -fuzztime 10s ./internal/vsmodel/
 	$(GO) test -run xxx -fuzz FuzzNativeDerivsFD -fuzztime 10s ./internal/vsmodel/
 	$(GO) test -run xxx -fuzz FuzzNativeDerivsFD -fuzztime 10s ./internal/bsim/
 	$(GO) test -run xxx -fuzz FuzzBypassExtrapolation -fuzztime 10s ./internal/spice/
+
+# Untrusted-decoder rung: the SPICE-subset netlist parser that
+# cmd/spicecli reads decks with returns an error and never panics — its
+# error decks and the seeded FuzzParseNetlist cases, then a short fuzz.
+decode:
+	$(GO) test -count=1 -run 'TestParseNetlist|FuzzParseNetlist' ./internal/spice/
+	$(GO) test -run xxx -fuzz FuzzParseNetlist -fuzztime 10s ./internal/spice/
 
 # Tier 2: the race detector over the full tree, including the pooled
 # parallel Monte Carlo engine.

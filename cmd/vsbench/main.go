@@ -352,7 +352,7 @@ func (s *shardSide) apply(rec *unitRecord) {
 // pooled run at any shard size; the coordinator accounting lands in the
 // record's shard_* fields via side. Each endpoint runs a single-worker
 // engine, so total parallelism matches the endpoint count and the
-// per-sample alloc figures stay comparable to the scalar rows.
+// per-sample alloc figures stay comparable to the local rows.
 func shardGateUnit(m core.StatModel, vdd float64, sz circuits.Sizing, shardSize, endpoints int, side *shardSide,
 	build func(vdd float64, sz circuits.Sizing, nominal circuits.Factory, fast bool) (*circuits.PooledGate, error)) unitFn {
 	return func(ctx context.Context, n int, seed int64, workers int, opts montecarlo.RunOpts, fast bool, lcore spice.LinearCore, mi *experiments.MCInstr, mr *matRec) (spice.SolverStats, montecarlo.RunReport, error) {
@@ -557,9 +557,9 @@ type benchLC struct {
 	resume bool
 	vdd    float64
 
-	// rec/runSpan/traceK drive the -trace-out flight recorder: each
-	// scalar-engine unit's distribution pass runs with a trace.MC under a
-	// per-unit span parented to runSpan. Never attached to the timed pass
+	// rec/runSpan/traceK drive the -trace-out flight recorder: each unit's
+	// distribution pass runs with a trace.MC under a per-unit span parented
+	// to runSpan. Never attached to the timed pass
 	// (its ns/allocs per sample must stay comparable across revisions).
 	rec     *obstrace.Recorder
 	runSpan uint64

@@ -78,13 +78,12 @@ func (c *Circuit) clearBypass() {
 	}
 }
 
-// tranEval is the bypass's one decision point for scalar transient
-// assemblies: MOSFET i's evaluation at x and, when full is set, the bundle
-// whose GId and CQ the assembly stamps. A device within bypassTol of its
-// entry's point is served from the entry and counted in BypassedEvals;
-// otherwise the model is called, and only a full evaluation becomes a new
-// point, so values-only (chord) assemblies read the cache but never write
-// it.
+// tranEval is the bypass's one decision point for transient assemblies:
+// MOSFET i's evaluation at x and, when full is set, the bundle whose GId
+// and CQ the assembly stamps. A device within bypassTol of its entry's
+// point is served from the entry and counted in BypassedEvals; otherwise
+// the model is called, and only a full evaluation becomes a new point, so
+// values-only (chord) assemblies read the cache but never write it.
 func (c *Circuit) tranEval(i int, x []float64, full bool) (device.Eval, *device.Derivs) {
 	if len(c.bypass) != len(c.mos) {
 		c.clearBypass()

@@ -342,10 +342,10 @@ func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx,
 // updateTranHistory advances the charge/current history after a converged
 // timestep at solution x. Capacitor charges are linear in x and recomputed
 // exactly. MOSFET terminal charges come from the evaluations cached by the
-// last Newton assembly, which sit at the pre-final-update Newton state: that differs from the
-// converged x by less than the solve's voltage tolerance per node, so the
-// charge error is far below the current tolerance in both the exact and
-// fast paths. Every caller runs immediately after a successful stepSolve on
+// last Newton assembly, which sit at the pre-final-update Newton state:
+// that differs from the converged x by less than the solve's voltage
+// tolerance per node, so the charge error is far below the current
+// tolerance in both the exact and fast paths. Every caller runs immediately after a successful stepSolve on
 // the same circuit state, which is what fills the cache.
 func (c *Circuit) updateTranHistory(x []float64, ts *tranState) {
 	for i := range c.cs {

@@ -100,6 +100,20 @@ func TestZeroWidthDegenerate(t *testing.T) {
 	if e.Id != 0 {
 		t.Fatalf("zero-width device conducts: %g", e.Id)
 	}
+	// A card with no effective width has no channel and no overlap: both
+	// evaluation paths return all zeros, charges included, for either
+	// polarity at zero and negative Weff.
+	for _, p := range []Params{NMOS40(600e-9), PMOS40(600e-9)} {
+		for _, dw := range []float64{0, 1e-9} {
+			p.DWg = p.W + dw
+			if got := p.Eval(0.9, 0.9, 0, 0); got != (device.Eval{}) {
+				t.Fatalf("%v Weff=%g: Eval %+v, want zeros", p.TypeK, p.Weff(), got)
+			}
+			if got := p.EvalDerivs4(0.9, 0.9, 0, 0); got != (device.Derivs{}) {
+				t.Fatalf("%v Weff=%g: EvalDerivs4 %+v, want zeros", p.TypeK, p.Weff(), got)
+			}
+		}
+	}
 }
 
 // Cross-check the Newton series solve against a bisection root of the
