@@ -167,7 +167,7 @@ func (d *Deck) parseLine(line string) error {
 		}
 		// A positive value can still overflow its conductance 1/v.
 		if !(v > 0) || math.IsInf(1/v, 0) {
-			return fmt.Errorf("resistor %s value %s is not positive", name, fields[3])
+			return fmt.Errorf("resistor %s value %s is out of range (want R > 0 with a finite 1/R)", name, fields[3])
 		}
 		c.AddR(name, c.Node(fields[1]), c.Node(fields[2]), v)
 	case 'C', 'c':
