@@ -150,8 +150,8 @@ type Circuit struct {
 	// Newton scratch buffers (see newton); sized on first solve. nwJac and
 	// nwLU are the dense-core workspaces, allocated only when the dense
 	// path is active.
-	nwF, nwScratch []float64
-	nwJac          *linalg.Matrix
+	nwF, nwScratch, nwBack []float64
+	nwJac                  *linalg.Matrix
 
 	// Carried Jacobian factorization (see newton): nwLU is the reusable
 	// dense workspace, luValid/luKey gate reuse across solves, and

@@ -90,6 +90,7 @@ type SolverStats struct {
 	TranHalvings     int64 // timestep-halving rescue levels entered
 	FastFallbacks    int64 // fast→exact fallbacks (carried chord Jacobian dropped)
 	NonFiniteRejects int64 // NaN/Inf iterates, candidates, or histories rejected
+	CycleAccepts     int64 // Newton 2-cycles at the residual floor accepted (see newton)
 
 	// SparseRepivots counts sparse-core pivot-order re-analyses (zero pivot
 	// or growth beyond spGrowthLimit under the frozen order). Excluded from
@@ -121,7 +122,7 @@ type SolverStats struct {
 // worker scheduling or template construction) are included, so the summed
 // map is invariant under worker count.
 func (s SolverStats) RescueCounts() map[string]int64 {
-	out := make(map[string]int64, 7)
+	out := make(map[string]int64, 8)
 	add := func(k string, v int64) {
 		if v != 0 {
 			out[k] = v
@@ -134,6 +135,7 @@ func (s SolverStats) RescueCounts() map[string]int64 {
 	add("tran-substep", s.Rescues)
 	add("fast-fallback", s.FastFallbacks)
 	add("nonfinite-reject", s.NonFiniteRejects)
+	add("newton-cycle", s.CycleAccepts)
 	return out
 }
 
@@ -144,7 +146,7 @@ func (s SolverStats) RescueCounts() map[string]int64 {
 // per-sample deltas of Work are deterministic at any worker count.
 func (s SolverStats) Work() (iters, rescues int64) {
 	return s.NewtonIters, s.DCGminRescues + s.DCSourceRescues + s.DCPseudoRescues +
-		s.TranHalvings + s.Rescues + s.FastFallbacks + s.NonFiniteRejects
+		s.TranHalvings + s.Rescues + s.FastFallbacks + s.NonFiniteRejects + s.CycleAccepts
 }
 
 // Add returns the field-wise sum of two counter sets (benches spanning
@@ -161,6 +163,7 @@ func (s SolverStats) Add(o SolverStats) SolverStats {
 		TranHalvings:     s.TranHalvings + o.TranHalvings,
 		FastFallbacks:    s.FastFallbacks + o.FastFallbacks,
 		NonFiniteRejects: s.NonFiniteRejects + o.NonFiniteRejects,
+		CycleAccepts:     s.CycleAccepts + o.CycleAccepts,
 		SparseRepivots:   s.SparseRepivots + o.SparseRepivots,
 		ModelEvals:       s.ModelEvals + o.ModelEvals,
 		BypassedEvals:    s.BypassedEvals + o.BypassedEvals,
@@ -473,6 +476,15 @@ type luSolver interface {
 // the poisoned update is rolled back so x stays finite for the next rescue
 // rung.
 //
+// Newton also accepts an iterate that equals the iterate two iterations
+// back bit for bit when both full-Newton residuals of the cycle lie within
+// the current tolerance (counted in CycleAccepts). That is a 2-cycle at the
+// residual's noise floor, such as a series solve that returns its current
+// only to within its own tolerance: a node conductance of 3.3e-5 S turns
+// 1e-13 A of noise into a 3 nV update, above tolV, forever. A deterministic
+// iteration that has returned to a point repeats the cycle, so the accept
+// changes no solve that converges without it.
+//
 // When ctx.carry is set and the circuit holds a valid factorization from a
 // previous solve with the same luKey, the iteration starts as chord Newton
 // on that carried factorization; the stall detector refreshes the Jacobian
@@ -486,6 +498,7 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 	if len(c.nwF) != n {
 		c.nwF = make([]float64, n)
 		c.nwScratch = make([]float64, n)
+		c.nwBack = make([]float64, n)
 		c.nwJac, c.nwLU = nil, nil
 		c.spReady = false
 		c.luValid = false
@@ -511,7 +524,7 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 	if maxIter <= 0 {
 		maxIter = 150
 	}
-	f, scratch, jac := c.nwF, c.nwScratch, c.nwJac
+	f, scratch, jac, back := c.nwF, c.nwScratch, c.nwJac, c.nwBack
 	key := ctxKey(ctx)
 	tv, ti := tolV, tolI
 	if ctx.fast {
@@ -536,6 +549,9 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 	c.luValid = false
 	var lastDv, lastF float64
 	lastWorst := -1
+	// backFloor: back holds the previous iterate, whose full-Newton
+	// residual lay within ti.
+	backFloor := false
 	for iter := 0; iter < maxIter; iter++ {
 		// Lifecycle check at the iteration boundary: every analysis (DC
 		// rungs, transient steps, sub-step rescue pieces) funnels through
@@ -620,9 +636,6 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 				maxDv = a
 			}
 		}
-		for i := range x {
-			x[i] -= dx[i]
-		}
 
 		maxF := 0.0
 		worst := -1
@@ -632,8 +645,20 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 				worst = i
 			}
 		}
+		floor := wantJ && maxF < ti
+		cycle := floor && backFloor
+		for i := range x {
+			xi := x[i] - dx[i]
+			cycle = cycle && math.Float64bits(xi) == math.Float64bits(back[i])
+			back[i] = x[i]
+			x[i] = xi
+		}
+		backFloor = floor
 		lastDv, lastF, lastWorst = maxDv, maxF, worst
-		if maxDv < tv && maxF < ti {
+		if cycle {
+			c.stats.CycleAccepts++
+		}
+		if cycle || maxDv < tv && maxF < ti {
 			c.luValid = true
 			c.luKey = key
 			return nil
