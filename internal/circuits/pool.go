@@ -253,7 +253,8 @@ type PooledSRAM struct {
 	Fast bool
 
 	cL, cR         *spice.Circuit
-	wlL, wlR       int // VWL source indices (read/hold switch)
+	wlL, wlR       int            // VWL source indices (read/hold switch)
+	wlRead         spice.Waveform // the READ word-line level, boxed once
 	forceL, forceR int
 	obsL, obsR     int
 
@@ -265,7 +266,7 @@ type PooledSRAM struct {
 // NewPooledSRAM builds the two half-circuits once for an n-point sweep.
 func NewPooledSRAM(vdd float64, sz SRAMSizing, nominal Factory, n int, fast bool) *PooledSRAM {
 	cell := NewSRAMCell(vdd, sz, nominal)
-	p := &PooledSRAM{Cell: cell, Vdd: vdd, Fast: fast}
+	p := &PooledSRAM{Cell: cell, Vdd: vdd, Fast: fast, wlRead: spice.DC(vdd)}
 	p.cL, p.forceL, p.obsL = cell.butterflyCircuit("L", false)
 	p.cR, p.forceR, p.obsR = cell.butterflyCircuit("R", false)
 	p.wlL = p.cL.VSourceIndex("VWL")
@@ -369,12 +370,12 @@ func (p *PooledSRAM) MatrixInfo() (n, nnz int, sparse bool) {
 // READ or HOLD, and returns the two transfer curves. The curves alias the
 // pooled buffers and are only valid until the next Butterfly call.
 func (p *PooledSRAM) Butterfly(read bool) (left, right ButterflyCurve, err error) {
-	wl := 0.0
+	var wl spice.Waveform = spice.DC(0)
 	if read {
-		wl = p.Vdd
+		wl = p.wlRead
 	}
-	p.cL.SetVSource(p.wlL, spice.DC(wl))
-	p.cR.SetVSource(p.wlR, spice.DC(wl))
+	p.cL.SetVSource(p.wlL, wl)
+	p.cR.SetVSource(p.wlR, wl)
 	if err = p.cL.DCSweepObserve(p.forceL, p.In, p.obsL, p.OutL, p.Fast); err != nil {
 		return
 	}

@@ -86,7 +86,7 @@ func NewMCInstr(reg *obs.Registry) *MCInstr {
 	reg.SetHelp("mc_samples_budget_total", "Samples that failed over their solver budget (wall, iteration cap, or hang watchdog).")
 	reg.SetHelp("mc_samples_cancelled_total", "In-flight samples drained by a run cancellation.")
 	reg.SetHelp("model_evals_total", "MOSFET compact-model evaluations.")
-	reg.SetHelp("model_evals_bypassed_total", "Transient MOSFET evaluations served by the device bypass instead of the model.")
+	reg.SetHelp("model_evals_bypassed_total", "MOSFET evaluations served by the device bypass instead of the model: transient ones within 10 nV of a cached point, DC ones at that point bit for bit.")
 	for _, st := range rescueStages {
 		reg.SetHelp("mc_rescue_"+st+"_total", "Samples rescued by the "+st+" solver ladder stage.")
 	}

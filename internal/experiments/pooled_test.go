@@ -217,7 +217,8 @@ func TestPooledFastSetupAccuracy(t *testing.T) {
 
 // TestPooledAllocRegression pins the headline allocation win: a pooled
 // per-sample transient must allocate at least 10x less than the
-// rebuild-per-sample baseline.
+// rebuild-per-sample baseline. The pooled transient and the pooled SRAM
+// butterfly's four DC sweeps allocate nothing at all.
 func TestPooledAllocRegression(t *testing.T) {
 	m := core.DefaultStatVS()
 	sz := poolTestSizing()
@@ -260,5 +261,17 @@ func TestPooledAllocRegression(t *testing.T) {
 	})
 	if transientOnly != 0 {
 		t.Fatalf("pooled transient allocates %.1f objects per run, want 0", transientOnly)
+	}
+
+	sram := circuits.NewPooledSRAM(poolTestVdd, circuits.DefaultSRAMSizing(), m.Nominal(), butterflyPoints, false)
+	read := false
+	butterfly := testing.AllocsPerRun(4, func() {
+		read = !read
+		if _, _, err := sram.Butterfly(read); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if butterfly != 0 {
+		t.Fatalf("pooled SRAM butterfly allocates %.1f objects per call, want 0", butterfly)
 	}
 }

@@ -6,16 +6,18 @@ import (
 	"vstat/internal/device"
 )
 
-// Device bypass (SPICE3's BYPASS; DESIGN.md §6): a transient assembly
-// reuses a MOSFET's last full evaluation, moved to first order along its
-// own GId and CQ, while no terminal has moved more than bypassTol from
-// that evaluation's point. The cache lives here so models stay pure.
+// Device bypass (SPICE3's BYPASS; DESIGN.md §6): an assembly reuses a
+// MOSFET's last full evaluation while no terminal has moved from that
+// evaluation's point by more than its window. A transient assembly moves the
+// evaluation to first order along its own GId and CQ within bypassTol; a DC
+// assembly reuses it unchanged, and only at the same point bit for bit. The
+// cache lives here so models stay pure.
 
 // bypassTol is ten Newton voltage tolerances: the largest δ of a 1 nV–10 µV
 // sweep that left INV delays and DFF setup times bit-identical.
 const bypassTol = 10 * tolV
 
-// bypassEntry is one MOSFET's last full transient evaluation: the terminal
+// bypassEntry is one MOSFET's last full evaluation: the terminal
 // voltages it was made at (all NaN when the entry is empty) and its bundle.
 type bypassEntry struct {
 	v  [4]float64
@@ -49,6 +51,17 @@ func (e *bypassEntry) extrapolate(v *[4]float64) (device.Eval, bool) {
 	}, true
 }
 
+// at reports whether v equals the entry's point bit for bit (never for an
+// empty entry: NaN equals nothing).
+func (e *bypassEntry) at(v *[4]float64) bool {
+	for j, p := range e.v {
+		if v[j] != p || math.Signbit(v[j]) != math.Signbit(p) {
+			return false
+		}
+	}
+	return true
+}
+
 // keep makes v the point of the bundle just written to e.dv when all 25 of
 // its numbers are finite and empties the entry otherwise, so a NaN never
 // outlives the evaluation that produced it. One sum catches any NaN or
@@ -78,21 +91,31 @@ func (c *Circuit) clearBypass() {
 	}
 }
 
-// tranEval is the bypass's one decision point for transient assemblies:
-// MOSFET i's evaluation at x and, when full is set, the bundle whose GId
-// and CQ the assembly stamps. A device within bypassTol of its entry's
-// point is served from the entry and counted in BypassedEvals; otherwise
-// the model is called, and only a full evaluation becomes a new point, so
+// mosEval is the one decision point for every MOSFET evaluation an
+// assembly stamps: MOSFET i's evaluation at x and, when full is set, the
+// bundle whose GId and CQ the assembly stamps. A transient assembly (tran
+// set) serves a device within bypassTol of its entry's point from the
+// entry, moved to first order. Any other assembly serves it only when all
+// four terminal voltages equal the point bit for bit, and then returns the
+// bundle unchanged: adding zero first-order terms could flip the sign of a
+// zero, and a model is a pure function, so an exact hit equals a fresh
+// evaluation. Served evaluations count in BypassedEvals. Otherwise the
+// model is called, and only a full evaluation becomes a new point, so
 // values-only (chord) assemblies read the cache but never write it.
-func (c *Circuit) tranEval(i int, x []float64, full bool) (device.Eval, *device.Derivs) {
+func (c *Circuit) mosEval(i int, x []float64, full, tran bool) (device.Eval, *device.Derivs) {
 	if len(c.bypass) != len(c.mos) {
 		c.clearBypass()
 	}
 	m, e := &c.mos[i], &c.bypass[i]
 	v := [4]float64{nv(x, m.d), nv(x, m.g), nv(x, m.s), nv(x, m.b)}
-	if ev, ok := e.extrapolate(&v); ok {
+	if tran {
+		if ev, ok := e.extrapolate(&v); ok {
+			c.stats.BypassedEvals++
+			return ev, &e.dv
+		}
+	} else if e.at(&v) {
 		c.stats.BypassedEvals++
-		return ev, &e.dv
+		return e.dv.Eval, &e.dv
 	}
 	c.stats.ModelEvals++
 	if !full {

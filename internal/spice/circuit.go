@@ -184,8 +184,9 @@ type Circuit struct {
 	trX, trPrev, trPrev2, trPred []float64
 	trState                      tranState
 
-	// DC sweep scratch (see DCSweepObserve).
-	swX, swGuess []float64
+	// DC sweep scratch and level (see sweep).
+	swX, swPrev, swPrev2, swGuess []float64
+	swLevel                       level
 
 	// Pseudo-transient continuation scratch (see pseudoTransientInto).
 	ptRef, ptSave []float64

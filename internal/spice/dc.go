@@ -41,8 +41,7 @@ func (c *Circuit) OP() (*OPResult, error) {
 	return c.op(nil)
 }
 
-// OPFrom computes the operating point warm-started from a previous solution
-// (e.g. during a DC sweep).
+// OPFrom computes the operating point warm-started from a previous solution.
 func (c *Circuit) OPFrom(prev *OPResult) (*OPResult, error) {
 	if prev == nil {
 		return c.op(nil)
@@ -223,38 +222,53 @@ func (c *Circuit) pseudoTransientInto(x []float64) *ConvergenceError {
 }
 
 // DCSweep solves the operating point for each value assigned to the voltage
-// source src (index from AddV), warm-starting from the previous point. The
-// source's waveform is restored afterwards.
+// source src (index from AddV), warm-starting each point from the ones
+// before it (see sweep). The source's waveform is restored afterwards.
 func (c *Circuit) DCSweep(src int, values []float64) ([]*OPResult, error) {
-	saved := c.vs[src].wave
-	defer func() { c.vs[src].wave = saved }()
-
 	out := make([]*OPResult, 0, len(values))
-	var prev *OPResult
-	for _, v := range values {
-		c.vs[src].wave = DC(v)
-		op, err := c.OPFrom(prev)
-		if err != nil {
-			return nil, fmt.Errorf("spice: DC sweep failed at %g V: %w", v, err)
-		}
-		out = append(out, op)
-		prev = op
+	err := c.sweep(src, values, false, func(_ int, x []float64) {
+		out = append(out, &OPResult{c: c, x: append([]float64(nil), x...)})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// DCSweepObserve is the allocation-free DC sweep: it solves the operating
-// point for each value assigned to voltage source src, warm-starting from
-// the previous point exactly like DCSweep, and records the voltage of node
-// observe into out (which must have len(values) entries). The solve reuses
-// circuit-owned sweep scratch; carry enables the carried-Jacobian fast path
-// between sweep points. The source's waveform is restored afterwards.
+// DCSweepObserve is the allocation-free DC sweep: it records the voltage
+// of node observe at each point into out (which must have len(values)
+// entries). carry enables the carried-Jacobian fast path between sweep
+// points; without it the points are DCSweep's, bit for bit. The source's
+// waveform is restored afterwards.
 func (c *Circuit) DCSweepObserve(src int, values []float64, observe int, out []float64, carry bool) error {
 	if len(out) < len(values) {
 		return fmt.Errorf("spice: DCSweepObserve out has %d entries for %d values", len(out), len(values))
 	}
+	return c.sweep(src, values, carry, func(k int, x []float64) { out[k] = nv(x, observe) })
+}
+
+// level is a DC waveform whose value a sweep moves in place, so setting a
+// swept level boxes no float.
+type level struct{ v float64 }
+
+// At returns the current level.
+func (l *level) At(float64) float64 { return l.v }
+
+// sweep is the one DC sweep loop. It points source src at the circuit's
+// sweep level and solves the operating point at each value into
+// circuit-owned scratch, handing each solution to visit. Point 0 starts
+// from the zero state and point 1 from point 0. From point 2 on, Newton
+// starts from the linear extrapolation of the two points before, scaled by
+// the actual source steps: the DC form of the exact transient predictor. A
+// repeated value on either step starts from the previous point instead,
+// and so does every point of a carry (fast-path) sweep: from an
+// extrapolated start the chord iteration refreshes its carried factors
+// less often and took 1004 instead of 832 Newton iterations per SRAM
+// sample.
+func (c *Circuit) sweep(src int, values []float64, carry bool, visit func(k int, x []float64)) error {
 	saved := c.vs[src].wave
 	defer func() { c.vs[src].wave = saved }()
+	c.vs[src].wave = &c.swLevel
 
 	c.obsScope.Enter(obs.PhaseSolve)
 	defer c.obsScope.Exit()
@@ -262,17 +276,31 @@ func (c *Circuit) DCSweepObserve(src int, values []float64, observe int, out []f
 	n := c.unknowns()
 	if len(c.swX) != n {
 		c.swX = make([]float64, n)
+		c.swPrev = make([]float64, n)
+		c.swPrev2 = make([]float64, n)
 		c.swGuess = make([]float64, n)
 	}
-	var guess []float64
+	x, x1, x2 := c.swX, c.swPrev, c.swPrev2
 	for k, v := range values {
-		c.vs[src].wave = DC(v)
-		if err := c.solveOPInto(c.swX, guess, carry); err != nil {
+		c.swLevel.v = v
+		var guess []float64 // nil: the zero state
+		switch {
+		case k == 0:
+		case k == 1 || carry || values[k-1] == values[k-2] || v == values[k-1]:
+			guess = x1
+		default:
+			guess = c.swGuess
+			r := (v - values[k-1]) / (values[k-1] - values[k-2])
+			for i := range guess {
+				guess[i] = x1[i] + r*(x1[i]-x2[i])
+			}
+		}
+		if err := c.solveOPInto(x, guess, carry); err != nil {
 			return fmt.Errorf("spice: DC sweep failed at %g V: %w", v, err)
 		}
-		copy(c.swGuess, c.swX)
-		guess = c.swGuess
-		out[k] = nv(c.swX, observe)
+		copy(x2, x1)
+		copy(x1, x)
+		visit(k, x)
 	}
 	return nil
 }

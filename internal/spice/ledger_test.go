@@ -15,7 +15,9 @@ import (
 // BypassedEvals = NewtonIters·NumMOS + NumMOS, the last term being the
 // evaluations that seed the charge history. A DFF trial resumed from its
 // transient record seeds the history from the record instead and pays one
-// evaluation per recorded bypass point to rebuild the cache.
+// evaluation per recorded bypass point to rebuild the cache. A DC sweep
+// seeds nothing, so an SRAM butterfly's four sweeps balance at
+// NewtonIters·NumMOS, with the exact-point reuse serving some of them.
 func TestBypassLedger(t *testing.T) {
 	m := core.DefaultStatVS()
 	rng := rand.New(rand.NewSource(5))
@@ -80,5 +82,23 @@ func TestBypassLedger(t *testing.T) {
 	if got, want := st.ModelEvals+st.BypassedEvals, st.NewtonIters*nm+rebuilt; got != want {
 		t.Fatalf("resumed DFF trial: %d model + %d bypassed evaluations, want %d Newton iterations × %d MOSFETs + %d rebuilt = %d",
 			st.ModelEvals, st.BypassedEvals, st.NewtonIters, nm, rebuilt, want)
+	}
+
+	sram := circuits.NewPooledSRAM(vdd, circuits.DefaultSRAMSizing(), m.Nominal(), 61, false)
+	sram.Restat(m.Statistical(rng))
+	sram.ResetStats()
+	for _, read := range []bool{true, false} {
+		if _, _, err := sram.Butterfly(read); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both half-circuits stamp the cell's six MOSFETs.
+	st, nm = sram.Stats(), 6
+	if st.BypassedEvals == 0 {
+		t.Fatal("the SRAM butterflies reused no evaluation")
+	}
+	if got, want := st.ModelEvals+st.BypassedEvals, st.NewtonIters*nm; got != want {
+		t.Fatalf("SRAM butterflies: %d model + %d bypassed evaluations, want %d Newton iterations × %d MOSFETs = %d",
+			st.ModelEvals, st.BypassedEvals, st.NewtonIters, nm, want)
 	}
 }

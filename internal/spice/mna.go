@@ -282,9 +282,10 @@ func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx,
 	}
 
 	// MOSFETs: DC channel current always; terminal charge currents in
-	// transient. Transient assembles cache the model evaluations so the
-	// converged step's history update (updateTranHistory) reuses the last
-	// Newton evaluation instead of re-evaluating every device.
+	// transient. Every evaluation comes from mosEval (bypass.go).
+	// Transient assembles cache the evaluations so the converged step's
+	// history update (updateTranHistory) reuses the last Newton evaluation
+	// instead of re-evaluating every device.
 	cacheEv := ctx.tran != nil
 	if cacheEv && len(c.evCache) != len(c.mos) {
 		c.evCache = make([]device.Eval, len(c.mos))
@@ -292,20 +293,7 @@ func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx,
 	for i := range c.mos {
 		m := &c.mos[i]
 		term := [4]int{m.d, m.g, m.s, m.b}
-		var ev device.Eval
-		var dv *device.Derivs
-		var own device.Derivs
-		switch {
-		case cacheEv:
-			ev, dv = c.tranEval(i, x, wantJ)
-		case wantJ:
-			own = device.EvalDerivs(m.dev, nv(x, m.d), nv(x, m.g), nv(x, m.s), nv(x, m.b))
-			dv, ev = &own, own.Eval
-			c.stats.ModelEvals++
-		default:
-			ev = m.dev.Eval(nv(x, m.d), nv(x, m.g), nv(x, m.s), nv(x, m.b))
-			c.stats.ModelEvals++
-		}
+		ev, dv := c.mosEval(i, x, wantJ, cacheEv)
 		if cacheEv {
 			c.evCache[i] = ev
 		}

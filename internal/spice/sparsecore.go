@@ -272,17 +272,7 @@ func (c *Circuit) assembleSparse(x, f []float64, ctx *assembleCtx) {
 		m := &c.mos[i]
 		term := [4]int{m.d, m.g, m.s, m.b}
 		ms := sl.mos[24*i : 24*i+24]
-		var ev device.Eval
-		var dv *device.Derivs
-		var own device.Derivs
-		switch {
-		case cacheEv:
-			ev, dv = c.tranEval(i, x, true)
-		default:
-			own = device.EvalDerivs(m.dev, nv(x, m.d), nv(x, m.g), nv(x, m.s), nv(x, m.b))
-			dv, ev = &own, own.Eval
-			c.stats.ModelEvals++
-		}
+		ev, dv := c.mosEval(i, x, true, cacheEv)
 		if cacheEv {
 			c.evCache[i] = ev
 		}
