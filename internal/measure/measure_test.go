@@ -100,7 +100,9 @@ func TestSNMIdealizedCurves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.SNM-0.3) > 0.02 {
+	// NaN compares false against every bound, so non-finite results are
+	// rejected on their own.
+	if !finite(res.Upper) || !finite(res.Lower) || !finite(res.SNM) || math.Abs(res.SNM-0.3) > 0.02 {
 		t.Fatalf("SNM %g want ≈0.3 (upper %g lower %g)", res.SNM, res.Upper, res.Lower)
 	}
 }

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"math"
+	"sort"
 
 	"vstat/internal/circuits"
 )
@@ -41,8 +42,8 @@ func SNM(left, right circuits.ButterflyCurve) (SNMResult, error) {
 // maxSquare returns the side of the largest axis-aligned square that fits
 // between a falling upper curve yTop(x) and a falling lower curve yBot(x):
 // for anchor x0, the square [x0, x0+s] × [yTop(x0+s)−s, yTop(x0+s)] fits
-// when yTop(x0+s) − s ≥ yBot(x0); s(x0) solves the equality (monotone in
-// s), and the result is max over x0.
+// when g(s) = yTop(x0+s) − s − yBot(x0) ≥ 0; s(x0) is the root of g
+// (falling in s), and the result is max over 241 anchors.
 func maxSquare(top, bot *interp1) float64 {
 	lo := math.Max(top.lo(), bot.lo())
 	hi := math.Min(top.hi(), bot.hi())
@@ -54,24 +55,43 @@ func maxSquare(top, bot *interp1) float64 {
 	span := hi - lo
 	for i := 0; i <= anchors; i++ {
 		x0 := lo + span*float64(i)/anchors
-		g := func(s float64) float64 { return top.at(x0+s) - s - bot.at(x0) }
-		if g(0) <= 0 {
+		b := bot.at(x0)
+		if top.at(x0)-b <= 0 {
 			continue // outside the lobe
 		}
-		sLo, sHi := 0.0, span
-		if g(sHi) > 0 {
-			best = math.Max(best, sHi)
+		if top.at(x0+span)-span-b > 0 {
+			best = math.Max(best, span)
 			continue
 		}
-		for it := 0; it < 60; it++ {
-			mid := 0.5 * (sLo + sHi)
-			if g(mid) > 0 {
-				sLo = mid
-			} else {
-				sHi = mid
-			}
-		}
-		best = math.Max(best, sLo)
+		best = math.Max(best, top.squareRoot(x0, b))
 	}
 	return best
+}
+
+// squareRoot returns the root s > 0 of g(s) = p.at(x0+s) − s − b for a
+// non-increasing interpolant, given g(0) > 0 and a root in the domain or
+// on its clamped right tail. It walks the knots from x0 to the first one
+// where g is no longer positive and solves the segment before it, which is
+// linear: one division instead of a bisection. A zero-width segment (a
+// repeated abscissa) is a downward jump, so a root there sits on its knot.
+func (p *interp1) squareRoot(x0, b float64) float64 {
+	k := sort.SearchFloat64s(p.x, x0)
+	if k == 0 {
+		k = 1 // x0 on the first knot: its segment is the first one
+	}
+	for ; k < len(p.x); k++ {
+		x1, y1 := p.x[k], p.y[k]
+		if y1-(x1-x0)-b > 0 {
+			continue
+		}
+		xa, ya := p.x[k-1], p.y[k-1]
+		if x1 == xa {
+			return x1 - x0
+		}
+		m := (y1 - ya) / (x1 - xa)
+		// g(s) = ya + m·(x0+s−xa) − s − b on this segment.
+		return (ya - b + m*(x0-xa)) / (1 - m)
+	}
+	// Past the last knot the curve is flat at its last value.
+	return p.y[len(p.y)-1] - b
 }
