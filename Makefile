@@ -104,16 +104,22 @@ tranrecord:
 # Eval equal to EvalDerivs4's values, and the pinned core-evaluation budget),
 # both models' native Jacobians against central finite differences over
 # ±6σ mismatched cards, and the device bypass's first-order bundle against
-# a direct evaluation for terminal moves within its 10 nV window, and the
+# a direct evaluation for terminal moves within its 10 nV window, the
 # integrators' fitted convergence order on an RC discharge (backward Euler
-# 1, trapezoidal 2) — the seeded cases, then a short fuzz of each target.
+# 1, trapezoidal 2), Newton's accept of a 2-cycle at the residual's noise
+# floor, and the closed-form SNM square against its bisection oracle — the
+# seeded cases, then a short fuzz of each target. FuzzSNM caps input
+# minimization at 100 runs: one run costs about a millisecond, so the
+# default 60 s minimization of each new input would use the whole 10 s.
 numerics:
 	$(GO) test -count=1 -run 'SeriesSolve|NativeDerivs' ./internal/vsmodel/ ./internal/bsim/
-	$(GO) test -count=1 -run 'BypassExtrapolation|TestIntegratorConvergenceOrder' ./internal/spice/
+	$(GO) test -count=1 -run 'BypassExtrapolation|TestIntegratorConvergenceOrder|TestNewtonNoiseFloorCycle' ./internal/spice/
+	$(GO) test -count=1 -run 'SNM' ./internal/measure/
 	$(GO) test -run xxx -fuzz FuzzSeriesSolve -fuzztime 10s ./internal/vsmodel/
 	$(GO) test -run xxx -fuzz FuzzNativeDerivsFD -fuzztime 10s ./internal/vsmodel/
 	$(GO) test -run xxx -fuzz FuzzNativeDerivsFD -fuzztime 10s ./internal/bsim/
 	$(GO) test -run xxx -fuzz FuzzBypassExtrapolation -fuzztime 10s ./internal/spice/
+	$(GO) test -run xxx -fuzz FuzzSNM -fuzztime 10s -fuzzminimizetime 100x ./internal/measure/
 
 # Untrusted-decoder rung: the SPICE-subset netlist parser that
 # cmd/spicecli reads decks with returns an error and never panics — its
