@@ -36,26 +36,12 @@ func (r *OPResult) SourceI(src int) float64 {
 func (r *OPResult) Raw() []float64 { return r.x }
 
 // OP computes the DC operating point at t=0. It first attempts plain Newton
-// from the zero (or warm) state, then gmin stepping, then source stepping.
+// from the zero state, then the rescue ladder (see solveOPInto).
 func (c *Circuit) OP() (*OPResult, error) {
-	return c.op(nil)
-}
-
-// OPFrom computes the operating point warm-started from a previous solution.
-func (c *Circuit) OPFrom(prev *OPResult) (*OPResult, error) {
-	if prev == nil {
-		return c.op(nil)
-	}
-	guess := make([]float64, len(prev.x))
-	copy(guess, prev.x)
-	return c.op(guess)
-}
-
-func (c *Circuit) op(guess []float64) (*OPResult, error) {
 	c.obsScope.Enter(obs.PhaseSolve)
 	defer c.obsScope.Exit()
 	x := make([]float64, c.unknowns())
-	if err := c.solveOPInto(x, guess, false); err != nil {
+	if err := c.solveOPInto(x, nil, false); err != nil {
 		return nil, err
 	}
 	return &OPResult{c: c, x: x}, nil

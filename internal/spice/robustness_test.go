@@ -135,27 +135,6 @@ func TestBistableOPConverges(t *testing.T) {
 	}
 }
 
-func TestOPFromWarmStart(t *testing.T) {
-	c := New()
-	in := c.Node("in")
-	c.AddV("V", in, Gnd, DC(1))
-	c.AddR("R", in, Gnd, 100)
-	op1, err := c.OP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	op2, err := c.OPFrom(op1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(op2.V(in)-1) > 1e-9 {
-		t.Fatal("warm start wrong")
-	}
-	if _, err := c.OPFrom(nil); err != nil {
-		t.Fatal("OPFrom(nil) should fall back to cold start")
-	}
-}
-
 func TestTransientInvalidOpts(t *testing.T) {
 	c := New()
 	c.AddR("R", c.Node("a"), Gnd, 100)
