@@ -92,12 +92,16 @@ rng:
 # step ledger, the allocation pins, the device bypass's cache lifetime and
 # its evaluation ledger (fresh and resumed), and the fast path's setup-time
 # accuracy — under the race detector, because pooled workers each own a
-# record.
+# record. The TestSearch cases also hold the setup/hold search, which runs a
+# bracket end only when no midpoint decided it, to its bracket-first oracle
+# (bound paths, trial errors, rejected Tol and MaxOffset), and a short fuzz
+# of FuzzSearch does so over random brackets, tolerances and thresholds.
 tranrecord:
 	$(GO) test -race -count=1 -run 'TestTranRecord|TestTranStep|TestBypass' ./internal/spice/
 	$(GO) test -race -count=1 -run 'TestTrialsMatchFreshRegister|TestSearch' ./internal/measure/
 	$(GO) test -race -count=1 -run 'TestPooledFastSetupAccuracy|TestPooledSetupTimeBitIdentical' ./internal/experiments/
 	$(GO) test -run xxx -fuzz FuzzTranRecord -fuzztime 10s ./internal/spice/
+	$(GO) test -run xxx -fuzz FuzzSearch -fuzztime 10s ./internal/measure/
 
 # Model-numerics rung: the VS series-resistance solve against a bisection
 # root (its current within the solve's tolerance, qixo and Fsat at the root,

@@ -138,7 +138,7 @@ func TestFig8SetupTimeDistribution(t *testing.T) {
 		t.Fatalf("setup means differ %g%%", 100*d)
 	}
 	if r.TrialsPerSample < 5 {
-		t.Fatalf("bisection cost %d implausibly low", r.TrialsPerSample)
+		t.Fatalf("bisection cost %g implausibly low", r.TrialsPerSample)
 	}
 	pinOutput(t, "Fig8", r.String())
 }

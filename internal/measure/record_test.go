@@ -104,11 +104,12 @@ func TestTrialsMatchFreshRegister(t *testing.T) {
 }
 
 // The step ledger reconciles: every step of every bisection trial is
-// either solved or restored from the record, so a setup sample's solved
-// and reused steps sum to 10 trials of 300 steps, and a hold sample's to
-// 11 trials. Each sample of the pooled register also equals the same
-// search on a fresh register with the same devices, so no trial resumes
-// from the previous sample's record.
+// either solved or restored from the record, and a sample decided inside
+// the bracket runs only its midpoints, so a setup sample's solved and
+// reused steps sum to 8 trials of 300 steps, and a hold sample's to 9
+// trials. Each sample of the pooled register also equals the same search
+// on a fresh register with the same devices, so no trial resumes from the
+// previous sample's record.
 func TestSearchStepLedgerReconciles(t *testing.T) {
 	m := mismatchedVS()
 	o := DefaultSetupOpts()
@@ -119,8 +120,8 @@ func TestSearchStepLedgerReconciles(t *testing.T) {
 		trials int64
 		lo     float64
 	}{
-		{"setup", SetupTime, 10, -o.MaxOffset / 4},
-		{"hold", HoldTime, 11, -o.MaxOffset},
+		{"setup", SetupTime, int64(bisections(-o.MaxOffset/4, o.MaxOffset, o.Tol)), -o.MaxOffset / 4},
+		{"hold", HoldTime, int64(bisections(-o.MaxOffset, o.MaxOffset, o.Tol)), -o.MaxOffset},
 	}
 	p := circuits.NewPooledDFF(0.9, circuits.DefaultDFFSizing(), m.Nominal(), false)
 	o.Res = &p.Res

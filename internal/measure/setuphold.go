@@ -41,75 +41,129 @@ func DefaultSetupOpts() SetupOpts {
 
 // SetupTime finds the minimum time by which a 0→1 data transition must
 // precede the rising clock edge for the register to capture the 1 (checked
-// at ClkEdge+Settle). As in the paper, every probe of the bisection is a
-// transient, which is what makes register characterization ~20× more
-// expensive than a combinational cell and motivates the ultra-compact VS
-// model. The probes share the register's transient record (DFF.Rec): they
-// start from the same state under the same clock, so each probe solves
-// only the steps from its data edge on, with the same result bit for bit
-// as a transient from t = 0.
+// at ClkEdge+Settle), searching offsets in [−MaxOffset/4, MaxOffset]. As in
+// the paper, every probe of the bisection is a transient, which is what
+// makes register characterization ~20× more expensive than a combinational
+// cell and motivates the ultra-compact VS model. The probes share the
+// register's transient record (DFF.Rec): they start from the same state
+// under the same clock, so each probe solves only the steps from its data
+// edge on, with the same result bit for bit as a transient from t = 0.
 func SetupTime(ff *circuits.DFF, o SetupOpts) (float64, error) {
 	setClock(ff, o)
-	passes := func(offset float64) (bool, error) {
+	return search(-o.MaxOffset/4, o.MaxOffset, o.Tol, func(offset float64) (bool, error) {
 		return setupTrialPasses(ff, o, offset)
+	})
+}
+
+// HoldTime finds the minimum time the data must remain stable *after* the
+// rising clock edge: data goes high well before the edge, then falls at
+// ClkEdge+offset; the register must still capture the 1. Returned is the
+// smallest passing offset in [−MaxOffset, MaxOffset] (can be negative when
+// the data may fall before the edge). Like SetupTime's, the probes share
+// the register's transient record and each solves only the steps from its
+// data fall on.
+func HoldTime(ff *circuits.DFF, o SetupOpts) (float64, error) {
+	setClock(ff, o)
+	return search(-o.MaxOffset, o.MaxOffset, o.Tol, func(offset float64) (bool, error) {
+		return holdTrialPasses(ff, o, offset)
+	})
+}
+
+// search returns the smallest offset in [lo, hi] at which pass holds, to
+// within tol, for a pass that fails below some offset and holds from it on
+// (monotone capture). It bisects the bracket first and runs a bracket end
+// only when no midpoint decided it: the upper end when every midpoint
+// failed (ErrNoPassRegion if it fails too), the lower end when every
+// midpoint passed (returned if it passes). A passing and a failing
+// midpoint already imply both ends' outcomes, so under monotone capture
+// this returns what checking both ends first would, from the same
+// midpoints in the same order, and a sample decided inside the bracket
+// runs no end trial at all. An error from pass comes back unchanged.
+// Bounds that are not finite with lo < hi, or a tol that is not finite and
+// positive, are rejected before any trial.
+func search(lo, hi, tol float64, pass func(offset float64) (bool, error)) (float64, error) {
+	if !(lo < hi && tol > 0) || !finite(lo) || !finite(hi) || !finite(tol) {
+		return 0, fmt.Errorf("measure: setup/hold search over [%g, %g] at tolerance %g: "+
+			"Tol and MaxOffset must be finite and positive", lo, hi, tol)
 	}
-	// The largest offset must pass and a zero/negative margin must fail.
-	hiPass, err := passes(o.MaxOffset)
-	if err != nil {
-		return 0, err
-	}
-	if !hiPass {
-		return 0, ErrNoPassRegion
-	}
-	lo, hi := -o.MaxOffset/4, o.MaxOffset
-	loPass, err := passes(lo)
-	if err != nil {
-		return 0, err
-	}
-	if loPass {
-		// Captures even with data after the edge: effectively no setup
-		// constraint in the window; report the lower bound.
-		return lo, nil
-	}
-	for hi-lo > o.Tol {
-		mid := 0.5 * (lo + hi)
-		ok, err := passes(mid)
+	l, h := lo, hi
+	for h-l > tol {
+		mid := 0.5 * (l + h)
+		if mid <= l || mid >= h {
+			break // adjacent floats: no offset lies between them
+		}
+		ok, err := pass(mid)
 		if err != nil {
 			return 0, err
 		}
 		if ok {
-			hi = mid
+			h = mid
 		} else {
-			lo = mid
+			l = mid
 		}
 	}
-	return 0.5 * (lo + hi), nil
+	// Every midpoint lies strictly inside the bracket, so h is still hi
+	// only if no midpoint passed, and l still lo only if none failed.
+	if h == hi {
+		ok, err := pass(hi)
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			return 0, ErrNoPassRegion
+		}
+	}
+	if l == lo {
+		ok, err := pass(lo)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			// Captures even at the lower end (for setup, data after the
+			// edge): no constraint in the window; report the lower bound.
+			return lo, nil
+		}
+	}
+	return 0.5 * (l + h), nil
 }
 
 // setupTrialPasses runs one capture trial with the data edge at
 // ClkEdge−offset and reports whether Q latched high.
 func setupTrialPasses(ff *circuits.DFF, o SetupOpts, offset float64) (bool, error) {
-	vdd := ff.Vdd
-	edge := circuits.EdgeTime
 	tData := o.ClkEdge - offset
-
 	// Data: low, rising at tData, staying high.
-	ff.Data.T = append(ff.Data.T[:0], 0, tData, tData+edge)
-	ff.Data.V = append(ff.Data.V[:0], 0, 0, vdd)
-	ff.Ckt.SetVSource(ff.DSrc, &ff.Data)
+	ff.Data.T = append(ff.Data.T[:0], 0, tData, tData+circuits.EdgeTime)
+	ff.Data.V = append(ff.Data.V[:0], 0, 0, ff.Vdd)
+	return captures(ff, o, "setup")
+}
 
+// holdTrialPasses runs one capture trial with the data falling at
+// ClkEdge+offset and reports whether Q still latched high.
+func holdTrialPasses(ff *circuits.DFF, o SetupOpts, offset float64) (bool, error) {
+	edge := circuits.EdgeTime
+	tFall := o.ClkEdge + offset
+	// Data: high early (ample setup), falling at tFall.
+	ff.Data.T = append(ff.Data.T[:0], 0, 50e-12, 50e-12+edge, tFall, tFall+edge)
+	ff.Data.V = append(ff.Data.V[:0], 0, 0, ff.Vdd, ff.Vdd, 0)
+	return captures(ff, o, "hold")
+}
+
+// captures runs one trial under the data waveform in ff.Data and reports
+// whether Q is high at ClkEdge+Settle.
+func captures(ff *circuits.DFF, o SetupOpts, kind string) (bool, error) {
+	ff.Ckt.SetVSource(ff.DSrc, &ff.Data)
 	stop := o.ClkEdge + o.Settle
 	res, err := o.runTrial(ff, stop)
 	if err != nil {
-		return false, fmt.Errorf("setup trial: %w", err)
+		return false, fmt.Errorf("%s trial: %w", kind, err)
 	}
 	q := res.At(ff.Q, stop)
 	// NaN compares false and would silently read as "capture failed",
 	// steering the bisection instead of surfacing the broken trial.
 	if !finite(q) {
-		return false, fmt.Errorf("setup trial Q at t=%g: %w", stop, ErrNonFinite)
+		return false, fmt.Errorf("%s trial Q at t=%g: %w", kind, stop, ErrNonFinite)
 	}
-	return q > vdd/2, nil
+	return q > ff.Vdd/2, nil
 }
 
 // setClock installs the clock of a search, shared by all its trials: low
@@ -135,66 +189,4 @@ func (o SetupOpts) runTrial(ff *circuits.DFF, stop float64) (*spice.TranResult, 
 		return o.Res, nil
 	}
 	return ff.Ckt.Transient(opts)
-}
-
-// HoldTime finds the minimum time the data must remain stable *after* the
-// rising clock edge: data goes high well before the edge, then falls at
-// ClkEdge+offset; the register must still capture the 1. Returned is the
-// smallest passing offset (can be negative when the data may fall before
-// the edge). Like SetupTime's, the probes share the register's transient
-// record and each solves only the steps from its data fall on.
-func HoldTime(ff *circuits.DFF, o SetupOpts) (float64, error) {
-	setClock(ff, o)
-	passes := func(offset float64) (bool, error) {
-		return holdTrialPasses(ff, o, offset)
-	}
-	hiPass, err := passes(o.MaxOffset)
-	if err != nil {
-		return 0, err
-	}
-	if !hiPass {
-		return 0, ErrNoPassRegion
-	}
-	lo, hi := -o.MaxOffset, o.MaxOffset
-	loPass, err := passes(lo)
-	if err != nil {
-		return 0, err
-	}
-	if loPass {
-		return lo, nil
-	}
-	for hi-lo > o.Tol {
-		mid := 0.5 * (lo + hi)
-		ok, err := passes(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
-}
-
-func holdTrialPasses(ff *circuits.DFF, o SetupOpts, offset float64) (bool, error) {
-	vdd := ff.Vdd
-	edge := circuits.EdgeTime
-	tFall := o.ClkEdge + offset
-
-	// Data: high early (ample setup), falling at tFall.
-	ff.Data.T = append(ff.Data.T[:0], 0, 50e-12, 50e-12+edge, tFall, tFall+edge)
-	ff.Data.V = append(ff.Data.V[:0], 0, 0, vdd, vdd, 0)
-	ff.Ckt.SetVSource(ff.DSrc, &ff.Data)
-	stop := o.ClkEdge + o.Settle
-	res, err := o.runTrial(ff, stop)
-	if err != nil {
-		return false, fmt.Errorf("hold trial: %w", err)
-	}
-	q := res.At(ff.Q, stop)
-	if !finite(q) {
-		return false, fmt.Errorf("hold trial Q at t=%g: %w", stop, ErrNonFinite)
-	}
-	return q > vdd/2, nil
 }
