@@ -92,17 +92,19 @@ func (c *Circuit) clearBypass() {
 }
 
 // mosEval is the one decision point for every MOSFET evaluation an
-// assembly stamps: MOSFET i's evaluation at x and, when full is set, the
-// bundle whose GId and CQ the assembly stamps. A transient assembly (tran
+// assembly makes: MOSFET i's evaluation at x. A transient assembly (tran
 // set) serves a device within bypassTol of its entry's point from the
 // entry, moved to first order. Any other assembly serves it only when all
 // four terminal voltages equal the point bit for bit, and then returns the
-// bundle unchanged: adding zero first-order terms could flip the sign of a
-// zero, and a model is a pure function, so an exact hit equals a fresh
-// evaluation. Served evaluations count in BypassedEvals. Otherwise the
-// model is called, and only a full evaluation becomes a new point, so
-// values-only (chord) assemblies read the cache but never write it.
-func (c *Circuit) mosEval(i int, x []float64, full, tran bool) (device.Eval, *device.Derivs) {
+// entry's evaluation unchanged: adding zero first-order terms could flip
+// the sign of a zero, and a model is a pure function, so an exact hit
+// equals a fresh evaluation. Served evaluations count in BypassedEvals.
+// Otherwise the model is called. A full evaluation (full set) writes its
+// bundle to the entry and makes it the new point; values-only (chord)
+// assemblies read the cache but never write it. Either way, with full set
+// the entry holds afterwards the bundle whose GId and CQ the Jacobian pass
+// stamps, and a written bundle leaves no factorization current.
+func (c *Circuit) mosEval(i int, x []float64, full, tran bool) device.Eval {
 	if len(c.bypass) != len(c.mos) {
 		c.clearBypass()
 	}
@@ -111,17 +113,18 @@ func (c *Circuit) mosEval(i int, x []float64, full, tran bool) (device.Eval, *de
 	if tran {
 		if ev, ok := e.extrapolate(&v); ok {
 			c.stats.BypassedEvals++
-			return ev, &e.dv
+			return ev
 		}
 	} else if e.at(&v) {
 		c.stats.BypassedEvals++
-		return e.dv.Eval, &e.dv
+		return e.dv.Eval
 	}
 	c.stats.ModelEvals++
 	if !full {
-		return m.dev.Eval(v[0], v[1], v[2], v[3]), nil
+		return m.dev.Eval(v[0], v[1], v[2], v[3])
 	}
 	e.dv = device.EvalDerivs(m.dev, v[0], v[1], v[2], v[3])
 	e.keep(&v)
-	return e.dv.Eval, &e.dv
+	c.spCurrent = false
+	return e.dv.Eval
 }

@@ -170,6 +170,14 @@ type Circuit struct {
 	spSlots stampSlots
 	spReady bool
 
+	// spCurrent reports that spLU holds the factorization of the CSC
+	// values stampSparse wrote under spKey from the MOSFETs' bypass bundles
+	// as they are now. A written bundle, a new stamp map or a failed
+	// factorization clears it; newton reuses the factorization while it
+	// holds and the key matches (spHeld).
+	spCurrent bool
+	spKey     jacKey
+
 	// evCache holds per-MOSFET model evaluations from the last transient
 	// assemble (the pre-final-update Newton state), consumed by
 	// updateTranHistory so a converged step never re-evaluates the models.
@@ -310,6 +318,7 @@ func (c *Circuit) SetMOSDevice(i int, dev device.Device) {
 	c.mos[i].dev = dev
 	c.gen++
 	c.luValid = false
+	c.spCurrent = false
 	if i < len(c.bypass) {
 		c.bypass[i].v = emptyPoint
 	}

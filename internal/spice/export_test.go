@@ -23,3 +23,13 @@ func (r *TranRecord) BypassPoints(k int) int {
 	}
 	return n
 }
+
+// assembleSparse runs both sparse passes unconditionally: the residual
+// pass and the Jacobian pass under ctx's key. The CSC values then no
+// longer need to be those of the held factorization, so none stays
+// current.
+func (c *Circuit) assembleSparse(x, f []float64, ctx *assembleCtx) {
+	c.assembleResidual(x, f, ctx, true)
+	c.spCurrent = false
+	c.stampSparse(c.jacKeyOf(ctx))
+}

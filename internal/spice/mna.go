@@ -80,7 +80,7 @@ func ctxKey(ctx *assembleCtx) luKey {
 // via RescueCounts.
 type SolverStats struct {
 	NewtonIters  int64 // linear solves (chord or full Newton iterations)
-	JacRefreshes int64 // Jacobian assemblies + LU factorizations
+	JacRefreshes int64 // Jacobian factorizations made (see newton's refresh rule)
 	TranSteps    int64 // accepted transient timesteps
 	Rescues      int64 // timesteps that fell back to the BE sub-step ladder
 
@@ -178,15 +178,25 @@ func (c *Circuit) Stats() SolverStats { return c.stats }
 func (c *Circuit) ResetStats() { c.stats = SolverStats{} }
 
 // assemble fills the residual F(x) (sum of currents leaving each node, plus
-// source constraint rows) and, when wantJ is set, its Jacobian. Residual-only
-// assembly is much cheaper (one model evaluation per device instead of
-// five), enabling chord-Newton iterations on a frozen Jacobian.
+// source constraint rows) and, when wantJ is set, its dense Jacobian: the
+// residual pass, then the dense Jacobian pass. Residual-only assembly
+// evaluates values only, enabling chord-Newton iterations on a frozen
+// Jacobian.
 func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx, wantJ bool) {
+	c.assembleResidual(x, f, ctx, wantJ)
+	if wantJ {
+		c.stampDense(jac, c.jacKeyOf(ctx))
+	}
+}
+
+// assembleResidual is the residual pass of both linear cores: it fills F(x)
+// and makes every MOSFET's evaluation decision through mosEval. With full
+// set, every MOSFET's bypass entry holds afterwards the bundle whose GId
+// and CQ the Jacobian pass stamps; without it the pass evaluates values
+// only and writes no bundle.
+func (c *Circuit) assembleResidual(x, f []float64, ctx *assembleCtx, full bool) {
 	for i := range f {
 		f[i] = 0
-	}
-	if wantJ {
-		jac.Zero()
 	}
 	nNodes := len(c.nodeNames)
 
@@ -195,21 +205,11 @@ func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx,
 			f[node] += v
 		}
 	}
-	addJ := func(row, col int, v float64) {
-		if row != Gnd && col != Gnd {
-			jac.Add(row, col, v)
-		}
-	}
-	if !wantJ {
-		addJ = func(int, int, float64) {}
-	}
 
-	// Global gmin to ground. Routed through addJ so residual-only passes
-	// leave the frozen chord-Newton Jacobian untouched.
+	// Global gmin to ground.
 	g := c.Gmin + ctx.gminExtra
 	for n := 0; n < nNodes; n++ {
 		f[n] += g * x[n]
-		addJ(n, n, g)
 	}
 
 	// Pseudo-transient anchor: a conductance from every node to the
@@ -220,7 +220,6 @@ func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx,
 	if ctx.ptG > 0 {
 		for n := 0; n < nNodes; n++ {
 			f[n] += ctx.ptG * (x[n] - ctx.ptRef[n])
-			addJ(n, n, ctx.ptG)
 		}
 	}
 
@@ -230,10 +229,6 @@ func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx,
 		iv := r.g * (nv(x, r.a) - nv(x, r.b))
 		addF(r.a, iv)
 		addF(r.b, -iv)
-		addJ(r.a, r.a, r.g)
-		addJ(r.a, r.b, -r.g)
-		addJ(r.b, r.a, -r.g)
-		addJ(r.b, r.b, r.g)
 	}
 
 	// Voltage sources: branch current unknowns follow the node block.
@@ -243,11 +238,7 @@ func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx,
 		ib := x[br]
 		addF(v.p, ib)
 		addF(v.n, -ib)
-		addJ(v.p, br, 1)
-		addJ(v.n, br, -1)
 		f[br] = nv(x, v.p) - nv(x, v.n) - ctx.srcScale*v.wave.At(ctx.t)
-		addJ(br, v.p, 1)
-		addJ(br, v.n, -1)
 	}
 
 	// Current sources.
@@ -264,20 +255,14 @@ func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx,
 		for i := range c.cs {
 			cp := &c.cs[i]
 			q := cp.c * (nv(x, cp.a) - nv(x, cp.b))
-			var iq, geq float64
+			var iq float64
 			if ts.trap && !ts.firstBE {
 				iq = 2*(q-ts.qPrevCap[i])/ts.h - ts.iPrevCap[i]
-				geq = 2 * cp.c / ts.h
 			} else {
 				iq = (q - ts.qPrevCap[i]) / ts.h
-				geq = cp.c / ts.h
 			}
 			addF(cp.a, iq)
 			addF(cp.b, -iq)
-			addJ(cp.a, cp.a, geq)
-			addJ(cp.a, cp.b, -geq)
-			addJ(cp.b, cp.a, -geq)
-			addJ(cp.b, cp.b, geq)
 		}
 	}
 
@@ -292,26 +277,16 @@ func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx,
 	}
 	for i := range c.mos {
 		m := &c.mos[i]
-		term := [4]int{m.d, m.g, m.s, m.b}
-		ev, dv := c.mosEval(i, x, wantJ, cacheEv)
+		ev := c.mosEval(i, x, full, cacheEv)
 		if cacheEv {
 			c.evCache[i] = ev
 		}
 		addF(m.d, ev.Id)
 		addF(m.s, -ev.Id)
-		if wantJ {
-			for j := 0; j < 4; j++ {
-				addJ(m.d, term[j], dv.GId[j])
-				addJ(m.s, term[j], -dv.GId[j])
-			}
-		}
 		if ctx.tran != nil {
 			ts := ctx.tran
+			term := [4]int{m.d, m.g, m.s, m.b}
 			q := [4]float64{ev.Q.Qd, ev.Q.Qg, ev.Q.Qs, ev.Q.Qb}
-			fac := 1 / ts.h
-			if ts.trap && !ts.firstBE {
-				fac = 2 / ts.h
-			}
 			for k := 0; k < 4; k++ {
 				var iq float64
 				if ts.trap && !ts.firstBE {
@@ -320,10 +295,89 @@ func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx,
 					iq = (q[k] - ts.qPrevMos[i][k]) / ts.h
 				}
 				addF(term[k], iq)
-				if wantJ {
-					for j := 0; j < 4; j++ {
-						addJ(term[k], term[j], fac*dv.CQ[k][j])
-					}
+			}
+		}
+	}
+}
+
+// jacKey is everything a Jacobian pass reads besides the circuit's
+// elements and the MOSFETs' bypass bundles: the analysis terms of luKey,
+// the circuit's Gmin, and its generation gen, which moves with every new
+// element or device card and every sparse pivot-order analysis.
+type jacKey struct {
+	luKey
+	cktGmin float64
+	gen     uint64
+}
+
+func (c *Circuit) jacKeyOf(ctx *assembleCtx) jacKey {
+	return jacKey{luKey: ctxKey(ctx), cktGmin: c.Gmin, gen: c.gen}
+}
+
+// stampDense is the dense core's Jacobian pass: it zeroes jac and stamps
+// the linear elements and every MOSFET's bypass bundle under k, in the
+// order of stampSparse.
+func (c *Circuit) stampDense(jac *linalg.Matrix, k jacKey) {
+	jac.Zero()
+	nNodes := len(c.nodeNames)
+	addJ := func(row, col int, v float64) {
+		if row != Gnd && col != Gnd {
+			jac.Add(row, col, v)
+		}
+	}
+	g := k.cktGmin + k.gmin
+	for n := 0; n < nNodes; n++ {
+		addJ(n, n, g)
+	}
+	if k.pt > 0 {
+		for n := 0; n < nNodes; n++ {
+			addJ(n, n, k.pt)
+		}
+	}
+	for i := range c.rs {
+		r := &c.rs[i]
+		addJ(r.a, r.a, r.g)
+		addJ(r.a, r.b, -r.g)
+		addJ(r.b, r.a, -r.g)
+		addJ(r.b, r.b, r.g)
+	}
+	for i := range c.vs {
+		v := &c.vs[i]
+		br := nNodes + v.branch
+		addJ(v.p, br, 1)
+		addJ(v.n, br, -1)
+		addJ(br, v.p, 1)
+		addJ(br, v.n, -1)
+	}
+	if k.tran {
+		for i := range c.cs {
+			cp := &c.cs[i]
+			geq := cp.c / k.h
+			if k.trapPhase {
+				geq = 2 * cp.c / k.h
+			}
+			addJ(cp.a, cp.a, geq)
+			addJ(cp.a, cp.b, -geq)
+			addJ(cp.b, cp.a, -geq)
+			addJ(cp.b, cp.b, geq)
+		}
+	}
+	for i := range c.mos {
+		m := &c.mos[i]
+		dv := &c.bypass[i].dv
+		term := [4]int{m.d, m.g, m.s, m.b}
+		for j := 0; j < 4; j++ {
+			addJ(m.d, term[j], dv.GId[j])
+			addJ(m.s, term[j], -dv.GId[j])
+		}
+		if k.tran {
+			fac := 1 / k.h
+			if k.trapPhase {
+				fac = 2 / k.h
+			}
+			for r := 0; r < 4; r++ {
+				for j := 0; j < 4; j++ {
+					addJ(term[r], term[j], fac*dv.CQ[r][j])
 				}
 			}
 		}
@@ -473,6 +527,11 @@ type luSolver interface {
 // iteration that has returned to a point repeats the cycle, so the accept
 // changes no solve that converges without it.
 //
+// On the sparse core an iteration stamps and factors its Jacobian only when
+// the held factorization is stale, within a solve and across solves alike
+// (see the refresh policy below and DESIGN.md §6): the arithmetic is that
+// of refactoring every iteration, and only JacRefreshes drops.
+//
 // When ctx.carry is set and the circuit holds a valid factorization from a
 // previous solve with the same luKey, the iteration starts as chord Newton
 // on that carried factorization; the stall detector refreshes the Jacobian
@@ -549,22 +608,37 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 			return &ConvergenceError{Iters: iter, Residual: lastF, DeltaV: lastDv, Err: lcErr}
 		}
 		// Refresh policy. The VS model's native derivative bundle falls out
-		// of the series solve, so a with-Jacobian assembly costs the same
-		// device work as a values-only one: in exact mode full Newton
-		// (refresh every iteration, quadratic convergence) beats chord
-		// iteration, whose only remaining saving is the factorization. Fast
-		// mode keeps chord Newton — there the carried factorization skips
-		// assembly AND factoring, and the stall detector refreshes whenever
-		// contraction slows.
-		wantJ := !ctx.fast || lu == nil || forceJ || prevDv > 0.2
-		// Assembly-with-Jacobian is the "assemble-J" observability phase and
-		// the factorization refresh is "lu-factor", both carved out of
+		// of the series solve, so a full evaluation costs the same device
+		// work as a values-only one: exact mode runs full Newton, every
+		// update solved with the Jacobian of its own iteration's bundles
+		// (quadratic convergence). Fast mode keeps chord Newton — there the
+		// carried factorization skips the full evaluations as well, and the
+		// stall detector refreshes whenever contraction slows.
+		//
+		// The residual pass runs every iteration. On the sparse core the
+		// Jacobian pass and the factorization run only when the held
+		// factorization is stale (spHeld): a bundle was written since it was
+		// made, or the key moved. Otherwise they would reproduce the held
+		// values and factors bit for bit, which is what a device bypass that
+		// serves every MOSFET leaves. The dense core stamps and factors
+		// every time.
+		//
+		// The with-Jacobian assembly is the "assemble-J" observability
+		// phase and the factorization "lu-factor", both carved out of
 		// newton-solve so the device-model and linear-algebra costs are
 		// separately visible.
+		wantJ := !ctx.fast || lu == nil || forceJ || prevDv > 0.2
+		refresh := wantJ
+		var jk jacKey
 		if wantJ {
 			c.obsScope.Enter(obs.PhaseAssemble)
 			if useSparse {
-				c.assembleSparse(x, f, ctx)
+				c.assembleResidual(x, f, ctx, true)
+				jk = c.jacKeyOf(ctx)
+				if refresh = !c.spHeld(jk); refresh {
+					c.spCurrent = false // the pass overwrites the held values
+					c.stampSparse(jk)
+				}
 			} else {
 				c.assemble(x, f, jac, ctx, true)
 			}
@@ -582,11 +656,12 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 			return &ConvergenceError{Iters: iter + 1, Node: c.unknownName(i),
 				Residual: f[i], Err: ErrNonFiniteSolution}
 		}
-		if wantJ {
+		if refresh {
 			c.obsScope.Enter(obs.PhaseFactor)
 			var err error
 			if useSparse {
 				err = c.factorSparse()
+				c.spCurrent, c.spKey = err == nil, jk
 				lu = c.spLU
 			} else {
 				err = c.nwLU.Factor(jac)
@@ -598,6 +673,8 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 					Err: fmt.Errorf("singular Jacobian: %w", err)}
 			}
 			c.stats.JacRefreshes++
+		} else if wantJ {
+			lu = c.spLU
 		}
 		c.stats.NewtonIters++
 		c.obsScope.Enter(obs.PhaseTriSolve)

@@ -151,6 +151,7 @@ func (r *TranRecord) restore(k int, step float64, x, xPrev, xPrev2 []float64, ts
 	copy(ts.qPrevCap, r.qCap[k*r.nc:])
 	copy(ts.iPrevCap, r.iCap[k*r.nc:])
 	c := r.c
+	c.spCurrent = false // the bundles are rebuilt below
 	for i, p := range r.pts[k*r.nm : (k+1)*r.nm] {
 		if e := &c.bypass[i]; !math.IsNaN(p[0]) {
 			e.dv = device.EvalDerivs(c.mos[i].dev, p[0], p[1], p[2], p[3])

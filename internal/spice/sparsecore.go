@@ -3,9 +3,10 @@ package spice
 // Sparse linear core: stamp-list assembly into a CSC Jacobian plus the
 // symbolic-once sparse LU (internal/linalg/sparselu.go). The stamp map —
 // one CSC value-slot index per (element, entry) stamp site — is computed
-// once per topology; every later assembly writes device stamps straight
+// once per topology; every later Jacobian pass writes its stamps straight
 // into the values array with no map lookups, no dense n² zeroing, and no
-// allocation. The pattern is the union of the DC and transient stamps and
+// allocation. The pass runs apart from the residual pass and only when the
+// held factorization is stale (see newton). The pattern is the union of the DC and transient stamps and
 // always contains every node diagonal, so gmin stepping, pseudo-transient
 // anchoring, and the whole rescue ladder hit reserved slots and reuse the
 // same symbolic factorization. See DESIGN.md §9.
@@ -13,7 +14,6 @@ package spice
 import (
 	"os"
 
-	"vstat/internal/device"
 	"vstat/internal/linalg"
 )
 
@@ -158,6 +158,7 @@ func (c *Circuit) buildStampMap() {
 	remap(sl.mos)
 	c.sp = sp
 	c.spLU = nil // pattern changed: next factor re-runs symbolic analysis
+	c.spCurrent = false
 	c.spReady = true
 }
 
@@ -178,16 +179,12 @@ func stampQuad(av []float64, q []int32, g float64) {
 	addSlot(av, q[3], g)
 }
 
-// assembleSparse is assemble with wantJ=true for the sparse core: the
-// residual is computed by the same element walk in the same floating-point
-// order, while Jacobian stamps go through the precomputed slot lists
-// straight into the CSC values array. Residual-only chord iterations keep
-// using assemble(..., nil, ctx, false) — that path touches no Jacobian of
-// either core.
-func (c *Circuit) assembleSparse(x, f []float64, ctx *assembleCtx) {
-	for i := range f {
-		f[i] = 0
-	}
+// stampSparse is the sparse core's Jacobian pass: it zeroes the CSC values
+// and stamps the linear elements and every MOSFET's bypass bundle under k
+// through the precomputed slot lists. The values depend on nothing else,
+// so a factorization made from them stays current until a bundle is
+// written or the key moves (see newton).
+func (c *Circuit) stampSparse(k jacKey) {
 	av := c.sp.Val
 	for i := range av {
 		av[i] = 0
@@ -195,117 +192,70 @@ func (c *Circuit) assembleSparse(x, f []float64, ctx *assembleCtx) {
 	sl := &c.spSlots
 	nNodes := len(c.nodeNames)
 
-	addF := func(node int, v float64) {
-		if node != Gnd {
-			f[node] += v
-		}
-	}
-
-	// Global gmin to ground, onto the reserved node diagonals.
-	g := c.Gmin + ctx.gminExtra
+	// Global gmin and the pseudo-transient anchor, onto the reserved node
+	// diagonals.
+	g := k.cktGmin + k.gmin
 	for n := 0; n < nNodes; n++ {
-		f[n] += g * x[n]
 		av[sl.diag[n]] += g
 	}
-
-	// Pseudo-transient anchor (see assemble): also pure node-diagonal.
-	if ctx.ptG > 0 {
+	if k.pt > 0 {
 		for n := 0; n < nNodes; n++ {
-			f[n] += ctx.ptG * (x[n] - ctx.ptRef[n])
-			av[sl.diag[n]] += ctx.ptG
+			av[sl.diag[n]] += k.pt
 		}
 	}
 
 	for i := range c.rs {
-		r := &c.rs[i]
-		iv := r.g * (nv(x, r.a) - nv(x, r.b))
-		addF(r.a, iv)
-		addF(r.b, -iv)
-		stampQuad(av, sl.rs[4*i:4*i+4], r.g)
+		stampQuad(av, sl.rs[4*i:4*i+4], c.rs[i].g)
 	}
 
 	for i := range c.vs {
-		v := &c.vs[i]
-		br := nNodes + v.branch
-		ib := x[br]
-		addF(v.p, ib)
-		addF(v.n, -ib)
 		q := sl.vs[4*i : 4*i+4]
 		addSlot(av, q[0], 1)
 		addSlot(av, q[1], -1)
-		f[br] = nv(x, v.p) - nv(x, v.n) - ctx.srcScale*v.wave.At(ctx.t)
 		addSlot(av, q[2], 1)
 		addSlot(av, q[3], -1)
 	}
 
-	for i := range c.is {
-		s := &c.is[i]
-		iv := ctx.srcScale * s.wave.At(ctx.t)
-		addF(s.p, iv)
-		addF(s.n, -iv)
-	}
-
-	if ctx.tran != nil {
-		ts := ctx.tran
+	if k.tran {
 		for i := range c.cs {
 			cp := &c.cs[i]
-			q := cp.c * (nv(x, cp.a) - nv(x, cp.b))
-			var iq, geq float64
-			if ts.trap && !ts.firstBE {
-				iq = 2*(q-ts.qPrevCap[i])/ts.h - ts.iPrevCap[i]
-				geq = 2 * cp.c / ts.h
-			} else {
-				iq = (q - ts.qPrevCap[i]) / ts.h
-				geq = cp.c / ts.h
+			geq := cp.c / k.h
+			if k.trapPhase {
+				geq = 2 * cp.c / k.h
 			}
-			addF(cp.a, iq)
-			addF(cp.b, -iq)
 			stampQuad(av, sl.cs[4*i:4*i+4], geq)
 		}
 	}
 
-	cacheEv := ctx.tran != nil
-	if cacheEv && len(c.evCache) != len(c.mos) {
-		c.evCache = make([]device.Eval, len(c.mos))
-	}
 	for i := range c.mos {
-		m := &c.mos[i]
-		term := [4]int{m.d, m.g, m.s, m.b}
+		dv := &c.bypass[i].dv
 		ms := sl.mos[24*i : 24*i+24]
-		ev, dv := c.mosEval(i, x, true, cacheEv)
-		if cacheEv {
-			c.evCache[i] = ev
-		}
-		addF(m.d, ev.Id)
-		addF(m.s, -ev.Id)
 		for j := 0; j < 4; j++ {
 			addSlot(av, ms[j], dv.GId[j])
 			addSlot(av, ms[4+j], -dv.GId[j])
 		}
-		if ctx.tran != nil {
-			ts := ctx.tran
-			q := [4]float64{ev.Q.Qd, ev.Q.Qg, ev.Q.Qs, ev.Q.Qb}
-			fac := 1 / ts.h
-			if ts.trap && !ts.firstBE {
-				fac = 2 / ts.h
+		if k.tran {
+			fac := 1 / k.h
+			if k.trapPhase {
+				fac = 2 / k.h
 			}
-			for k := 0; k < 4; k++ {
-				var iq float64
-				if ts.trap && !ts.firstBE {
-					iq = 2*(q[k]-ts.qPrevMos[i][k])/ts.h - ts.iPrevMos[i][k]
-				} else {
-					iq = (q[k] - ts.qPrevMos[i][k]) / ts.h
-				}
-				addF(term[k], iq)
+			for r := 0; r < 4; r++ {
 				for j := 0; j < 4; j++ {
-					addSlot(av, ms[8+4*k+j], fac*dv.CQ[k][j])
+					addSlot(av, ms[8+4*r+j], fac*dv.CQ[r][j])
 				}
 			}
 		}
 	}
 }
 
-// factorSparse refreshes the sparse numeric factors from the just-assembled
+// spHeld reports whether spLU holds the factorization of the Jacobian that
+// stampSparse would stamp now under k: the last factorization was made
+// under k, and no bundle has been written since (spCurrent).
+func (c *Circuit) spHeld(k jacKey) bool {
+	return c.spCurrent && c.spLU != nil && c.spKey == k
+}
+
+// factorSparse refreshes the sparse numeric factors from the just-stamped
 // CSC values. The first call per pattern runs the one-time symbolic
 // analysis (pivot order, fill, elimination tape) against the current
 // values; every later call replays the allocation-free tape. A zero pivot

@@ -17,8 +17,9 @@ import "vstat/internal/device"
 // and the charge derivatives chain through the internal-voltage shifts the
 // current feedback induces. The core partials come out of the converged
 // series solve analytically, so a full derivative bundle costs no core
-// evaluations beyond the solve itself.
-func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) device.Derivs {
+// evaluations beyond the solve itself. The bundle is built in the result
+// and permuted in place: at 200 bytes, every copy of it shows in a profile.
+func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) (der device.Derivs) {
 	pol := p.TypeK.Polarity()
 	nvd, nvg, nvs, nvb := pol*vd, pol*vg, pol*vs, pol*vb
 	swap := false
@@ -34,14 +35,15 @@ func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) device.Derivs {
 	w := p.Weff()
 	leff := p.Leff()
 	if w <= 0 {
-		return device.Derivs{}
+		return
 	}
 	rs := p.Rs0 / w
 	rd := p.Rd0 / w
 
 	// Solve once for the operating state; the converged evaluation carries
 	// the analytic core partials at the internal bias.
-	st := p.solveSeriesD(vgs, vds, vbs)
+	var st seriesState
+	p.solveSeriesD(vgs, vds, vbs, &st)
 	id, qixo, fsat := st.id, st.co.q, st.co.s
 	Fg := w * st.co.fG
 	Fd := w * st.co.fD
@@ -89,7 +91,6 @@ func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) device.Derivs {
 	qsFrac := 0.5 + fsat/10
 	covW := p.Cof * w
 
-	var der device.Derivs
 	// Values (n-equivalent, unswapped).
 	der.Id = id
 	der.Q = device.Charges{
@@ -115,7 +116,7 @@ func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) device.Derivs {
 	}
 
 	if swap {
-		der = swapDerivs(der)
+		swapDerivs(&der)
 	}
 	if pol < 0 {
 		der.Id = -der.Id
@@ -123,22 +124,18 @@ func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) device.Derivs {
 		// Derivatives are invariant under simultaneous sign flips of
 		// currents/charges and voltages.
 	}
-	return der
+	return
 }
 
-// swapDerivs exchanges the drain and source roles of a derivative bundle:
-// the current negates, charges swap, and both rows and columns of the
-// capacitance matrix permute.
-func swapDerivs(d device.Derivs) device.Derivs {
-	var out device.Derivs
-	out.Id = -d.Id
-	out.Q = d.Q.SwapDS()
-	perm := [4]int{2, 1, 0, 3}
-	for t := 0; t < 4; t++ {
-		out.GId[t] = -d.GId[perm[t]]
-		for k := 0; k < 4; k++ {
-			out.CQ[k][t] = d.CQ[perm[k]][perm[t]]
-		}
+// swapDerivs exchanges the drain and source roles of a derivative bundle in
+// place: the current negates, charges swap, and both rows and columns of
+// the capacitance matrix permute (drain and source, terminals 0 and 2).
+func swapDerivs(d *device.Derivs) {
+	d.Id = -d.Id
+	d.Q = d.Q.SwapDS()
+	d.GId[0], d.GId[1], d.GId[2], d.GId[3] = -d.GId[2], -d.GId[1], -d.GId[0], -d.GId[3]
+	d.CQ[0], d.CQ[2] = d.CQ[2], d.CQ[0]
+	for k := range d.CQ {
+		d.CQ[k][0], d.CQ[k][2] = d.CQ[k][2], d.CQ[k][0]
 	}
-	return out
 }

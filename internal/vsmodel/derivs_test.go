@@ -109,7 +109,8 @@ func nearBodyClamp(p *Params, vd, vg, vs, vb float64) bool {
 	if nvd < nvs {
 		nvd, nvs = nvs, nvd
 	}
-	st := p.solveSeriesD(nvg-nvs, nvd-nvs, nvb-nvs)
+	var st seriesState
+	p.solveSeriesD(nvg-nvs, nvd-nvs, nvb-nvs, &st)
 	vbsi := nvb - nvs - st.id*p.Rs0/p.Weff()
 	return math.Abs(vbsi-(p.PhiB-0.05)) < 0.01
 }

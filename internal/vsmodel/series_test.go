@@ -282,7 +282,8 @@ func FuzzSeriesSolve(f *testing.F) {
 			return
 		}
 
-		st := p.solveSeriesD(ngs, nds, nbs)
+		var st seriesState
+		p.solveSeriesD(ngs, nds, nbs, &st)
 		ref := bisectSeries(&p, ngs, nds, nbs)
 		if err := math.Abs(st.id - ref.id); err > ref.tol {
 			t.Fatalf("%+v: I %g vs root %g: error %.3g tol (%d evaluations)", c, st.id, ref.id, err/ref.tol, st.evals)
@@ -315,13 +316,15 @@ func sameBits(a, b device.Eval) bool {
 func TestSeriesSolveEvalBudget(t *testing.T) {
 	const budget = 2.165 * 1.05
 	evals, solves := 0, 0
+	var st seriesState
 	for _, c := range seriesSeeds() {
 		p := c.card()
 		if p.Weff() <= 0 {
 			continue
 		}
 		vgs, vds, vbs := c.bias()
-		evals += p.solveSeriesD(vgs, vds, vbs).evals
+		p.solveSeriesD(vgs, vds, vbs, &st)
+		evals += st.evals
 		solves++
 	}
 	mean := float64(evals) / float64(solves)

@@ -298,7 +298,8 @@ type seriesState struct {
 // It returns the converged drain current (A), charge density and saturation
 // measure at the internal bias.
 func (p *Params) solveSeries(vgs, vds, vbs float64) (id, qixo, fsat, vdsi float64) {
-	st := p.solveSeriesD(vgs, vds, vbs)
+	var st seriesState
+	p.solveSeriesD(vgs, vds, vbs, &st)
 	return st.id, st.co.q, st.co.s, st.vdsi
 }
 
@@ -319,10 +320,15 @@ func (p *Params) solveSeries(vgs, vds, vbs float64) (id, qixo, fsat, vdsi float6
 // newtonConverged), and moves qixo and Fsat to it to first order
 // (acceptMove). A typical solve makes one or two core evaluations, 1.74 on
 // average over INV FO3 delay samples.
-func (p *Params) solveSeriesD(vgs, vds, vbs float64) seriesState {
+//
+// The solve fills the caller's st, which it resets first: at 128 bytes a
+// returned state would be copied on every device evaluation.
+func (p *Params) solveSeriesD(vgs, vds, vbs float64, st *seriesState) {
+	*st = seriesState{}
 	w := p.Weff()
 	if w <= 0 {
-		return seriesState{vdsi: vds}
+		st.vdsi = vds
+		return
 	}
 	rs := p.Rs0 / w
 	rd := p.Rd0 / w
@@ -332,7 +338,6 @@ func (p *Params) solveSeriesD(vgs, vds, vbs float64) seriesState {
 
 	// eval writes the core evaluation straight into st.co ("last evaluation
 	// wins").
-	var st seriesState
 	eval := func(i float64) (f, df, vdsiOut float64) {
 		st.evals++
 		vgsi := vgs - i*rs
@@ -352,11 +357,11 @@ func (p *Params) solveSeriesD(vgs, vds, vbs float64) seriesState {
 	f0, df0, v0 := eval(0)
 	st.id, st.vdsi = f0, v0
 	if rs == 0 && rd == 0 {
-		return st
+		return
 	}
 	tol := 1e-13 + 1e-9*f0
 	if f0 <= tol {
-		return st
+		return
 	}
 
 	a, b := 0.0, f0
@@ -367,7 +372,7 @@ func (p *Params) solveSeriesD(vgs, vds, vbs float64) seriesState {
 		prev = 0
 	} else if firstIterateConverged(w*st.co.q*p.Vxo, p.PhiT, rs+rd, x, df0, tol) {
 		st.id, st.vdsi = x, acceptMove(&st.co, x, 0, vds, rs, rd)
-		return st
+		return
 	}
 	for it := 0; it < 60; it++ {
 		fx, dfx, vx := eval(x)
@@ -375,7 +380,7 @@ func (p *Params) solveSeriesD(vgs, vds, vbs float64) seriesState {
 		st.id, st.vdsi = fx, vx
 		if math.Abs(gx) <= tol || b-a <= 1e-15*(1+b) {
 			st.id = x
-			return st
+			return
 		}
 		if gx > 0 {
 			b = x
@@ -388,13 +393,12 @@ func (p *Params) solveSeriesD(vgs, vds, vbs float64) seriesState {
 			prev = 0
 		} else if newtonConverged(xn-x, prev, tol) {
 			st.id, st.vdsi = xn, acceptMove(&st.co, xn, x, vds, rs, rd)
-			return st
+			return
 		} else {
 			prev = xn - x
 		}
 		x = xn
 	}
-	return st
 }
 
 // firstIterateConverged reports whether the Newton iterate x1 = F(0)/(1−F'(0))
