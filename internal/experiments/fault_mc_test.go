@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"vstat/internal/circuits"
-	"vstat/internal/core"
 	"vstat/internal/device"
 	"vstat/internal/measure"
 	"vstat/internal/montecarlo"
@@ -29,7 +28,7 @@ func faultFactory(stat circuits.Factory, mode device.FaultMode) circuits.Factory
 // RunReport, and must leave every other sample bit-identical to a clean run
 // with the same (seed, workers) — for any worker count.
 func TestFaultInjectedMCIsolation(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 1000
 	const seed = int64(2013)
 	const faultIdx = 137
@@ -72,6 +71,7 @@ func TestFaultInjectedMCIsolation(t *testing.T) {
 	if !cleanRep.Clean() {
 		t.Fatalf("clean run not clean: %s", cleanRep.String())
 	}
+	requireSpread(t, "clean operating points", clean)
 
 	for _, workers := range []int{1, 4} {
 		got, rep, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, workers,
@@ -106,7 +106,7 @@ func TestFaultInjectedMCIsolation(t *testing.T) {
 // population: without SkipAndRecord the injected sample aborts the run with
 // its typed error.
 func TestFailFastAbortsOnInjectedFault(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 60
 	const faultIdx = 11
 	sz := poolTestSizing()
@@ -146,7 +146,7 @@ func TestFailFastAbortsOnInjectedFault(t *testing.T) {
 // so the NEXT samples on the same template are bit-identical to a clean
 // run. workers=1 forces every sample through the one template sequentially.
 func TestFailedSampleLeavesTemplateRestampable(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 4
 	const seed = int64(31)
 	const faultIdx = 1
@@ -167,6 +167,7 @@ func TestFailedSampleLeavesTemplateRestampable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSpread(t, "clean delays", clean)
 
 	// The fault window opens halfway through the model calls the busiest
 	// device makes over a clean transient of the nominal bench, so it lies

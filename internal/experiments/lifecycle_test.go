@@ -42,7 +42,7 @@ func invDelay(m core.StatModel) func(*circuits.PooledGate, int, *rand.Rand) (flo
 // checkpoint directory must start fresh (the stale file is replaced, every
 // sample re-runs).
 func TestRunPooledMCKillAndResume(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 24
 	const seed = int64(5150)
 	dir := t.TempDir()
@@ -55,6 +55,7 @@ func TestRunPooledMCKillAndResume(t *testing.T) {
 	if refRep.Failed != 0 {
 		t.Fatalf("reference run not clean: %s", refRep.String())
 	}
+	requireSpread(t, "delays", ref)
 
 	// Phase 1: kill after 10 completed samples.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -125,7 +126,7 @@ func TestRunPooledMCKillAndResume(t *testing.T) {
 // configured budget, and every sibling must complete bit-identically to a
 // clean run.
 func TestHangSampleReclassifiedWithoutStallingSiblings(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 12
 	const seed = int64(777)
 	const hungIdx = 3
@@ -135,6 +136,7 @@ func TestHangSampleReclassifiedWithoutStallingSiblings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSpread(t, "clean delays", clean)
 
 	release := make(chan struct{})
 	defer close(release) // let the abandoned goroutine exit at test end

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"vstat/internal/circuits"
-	"vstat/internal/core"
 	"vstat/internal/device"
 	"vstat/internal/lifecycle"
 	"vstat/internal/montecarlo"
@@ -45,7 +44,7 @@ func TestMCObservabilityAcceptance(t *testing.T) {
 		t.Skip("1000-sample instrumented MC in -short")
 	}
 	enableObs(t)
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 1000
 	const seed = int64(20130318)
 	build := pooledInvFO3(poolTestVdd, poolTestSizing())
@@ -54,6 +53,7 @@ func TestMCObservabilityAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSpread(t, "delays", plain)
 
 	var evals, bypassed int64 // model_evals_total and model_evals_bypassed_total at workers=1
 	for _, workers := range []int{1, 4} {
@@ -139,7 +139,7 @@ func gminFaultFactory(stat circuits.Factory, until int64, card **device.FaultCar
 // least one genuinely rescued stage so the equality is not vacuous.
 func TestMCRescueCountersMatchReportExactly(t *testing.T) {
 	enableObs(t)
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 300
 	const seed = int64(2013)
 	const faultIdx = 137

@@ -20,11 +20,35 @@ func poolTestSizing() circuits.Sizing {
 	return circuits.Sizing{WP: 600e-9, WN: 300e-9, L: 40e-9}
 }
 
+// mismatchedVS is the VS model with the golden mismatch coefficients.
+// core.DefaultStatVS carries zero α's, so its Statistical factory returns
+// the nominal card for every device; a test that compares samples must
+// draw from this model, or it compares identical samples.
+func mismatchedVS() *core.StatVS {
+	m := core.DefaultStatVS()
+	m.AlphaN = variation.GoldenTruthNMOS()
+	m.AlphaP = variation.GoldenTruthPMOS()
+	return m
+}
+
+// requireSpread fails when every sample equals the first. A bit-identity
+// check over identical samples would also pass if a Restat installed no
+// new card or a merge permuted the samples.
+func requireSpread[T comparable](t *testing.T, what string, samples []T) {
+	t.Helper()
+	for _, s := range samples {
+		if s != samples[0] {
+			return
+		}
+	}
+	t.Fatalf("%s: all %d samples are equal; they carry no mismatch", what, len(samples))
+}
+
 // TestPooledInvDelayBitIdentical is the pooling determinism contract: the
 // pooled engine must reproduce the unpooled rebuild-per-sample delays bit
 // for bit, for any worker count.
 func TestPooledInvDelayBitIdentical(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 8
 	const seed = int64(1234)
 	want, err := montecarlo.MapCtx(context.Background(), n, seed, 1, func(idx int, rng *rand.Rand) (float64, error) {
@@ -33,6 +57,7 @@ func TestPooledInvDelayBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSpread(t, "INV FO3 delays", want)
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		got, _, err := pooledDelayMC(Config{Workers: workers}, "inv-test", n, seed, m, poolTestVdd,
 			pooledInvFO3(poolTestVdd, poolTestSizing()), nil)
@@ -49,7 +74,7 @@ func TestPooledInvDelayBitIdentical(t *testing.T) {
 }
 
 func TestPooledNandDelayBitIdentical(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 4
 	const seed = int64(77)
 	want, err := montecarlo.MapCtx(context.Background(), n, seed, 1, func(idx int, rng *rand.Rand) (float64, error) {
@@ -58,6 +83,7 @@ func TestPooledNandDelayBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSpread(t, "NAND2 FO3 delays", want)
 	for _, workers := range []int{1, 3} {
 		got, _, err := pooledDelayMC(Config{Workers: workers}, "nand-test", n, seed, m, poolTestVdd,
 			pooledNand2FO3(poolTestVdd, poolTestSizing()), nil)
@@ -77,7 +103,7 @@ func TestPooledNandDelayBitIdentical(t *testing.T) {
 // cell draws its six devices in NewSRAMCell order but installs them through
 // an explicit index map into two shared half-circuits.
 func TestPooledSNMBitIdentical(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 4
 	const seed = int64(99)
 	want, err := montecarlo.MapCtx(context.Background(), n, seed, 1, func(idx int, rng *rand.Rand) ([2]float64, error) {
@@ -87,6 +113,7 @@ func TestPooledSNMBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSpread(t, "SNMs", want)
 	for _, workers := range []int{1, 3} {
 		got, _, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, workers, montecarlo.RunOpts{},
 			func(int) (*circuits.PooledSRAM, error) {
@@ -110,7 +137,7 @@ func TestPooledSNMBitIdentical(t *testing.T) {
 }
 
 func TestPooledSetupTimeBitIdentical(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 2
 	const seed = int64(55)
 	opts := measure.DefaultSetupOpts()
@@ -121,6 +148,7 @@ func TestPooledSetupTimeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSpread(t, "setup times", want)
 	got, _, err := montecarlo.MapPooledReportCtx(context.Background(), n, seed, 2, montecarlo.RunOpts{},
 		func(int) (*circuits.PooledDFF, error) {
 			return circuits.NewPooledDFF(poolTestVdd, circuits.DefaultDFFSizing(), m.Nominal(), false), nil
@@ -145,7 +173,7 @@ func TestPooledSetupTimeBitIdentical(t *testing.T) {
 // the relaxed tolerances and carried factors may move a delay only at the
 // solver tolerance floor, far below the mismatch-induced spread.
 func TestPooledFastDelayAccuracy(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 4
 	const seed = int64(4321)
 	exact, _, err := pooledDelayMC(Config{Workers: 1}, "fast-exact", n, seed, m, poolTestVdd,
@@ -153,6 +181,7 @@ func TestPooledFastDelayAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSpread(t, "exact delays", exact)
 	fast, _, err := pooledDelayMC(Config{Workers: 1, FastMC: true}, "fast-1", n, seed, m, poolTestVdd,
 		pooledInvFO3(poolTestVdd, poolTestSizing()), nil)
 	if err != nil {
@@ -220,7 +249,7 @@ func TestPooledFastSetupAccuracy(t *testing.T) {
 // rebuild-per-sample baseline. The pooled transient and the pooled SRAM
 // butterfly's four DC sweeps allocate nothing at all.
 func TestPooledAllocRegression(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	sz := poolTestSizing()
 
 	idx := 0

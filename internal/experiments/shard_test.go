@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vstat/internal/circuits"
-	"vstat/internal/core"
 	"vstat/internal/montecarlo"
 	"vstat/internal/obs"
 	"vstat/internal/shard"
@@ -18,7 +17,7 @@ import (
 // bit-identical to the plain pooled run — values, failure count, report —
 // and that the shard counters land in the obs registry.
 func TestShardedRunMatchesLocal(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 24
 	const seed = int64(777)
 
@@ -28,6 +27,7 @@ func TestShardedRunMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSpread(t, "delays", ref)
 
 	reg := obs.NewRegistry()
 	sm := shard.NewMetrics(reg)
@@ -79,7 +79,7 @@ func TestShardedRunMatchesLocal(t *testing.T) {
 // ShardJournalDir must restore every shard — zero sample re-executed —
 // and still hand back bit-identical results and report.
 func TestShardedRunJournalResume(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	const n = 24
 	const seed = int64(777)
 	dir := t.TempDir()
@@ -95,6 +95,7 @@ func TestShardedRunJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSpread(t, "delays", ref)
 
 	cfg.Resume = true
 	var reran atomic.Int64
@@ -128,7 +129,7 @@ func TestShardedRunJournalResume(t *testing.T) {
 // exclusivity: shards are the retry unit, a run-level checkpoint would
 // double-apply completions.
 func TestShardedRunRejectsCheckpoint(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	cfg := Config{ShardSize: 8, CheckpointDir: t.TempDir()}
 	_, _, err := runPooledMC[*circuits.PooledGate, float64](
 		cfg, "shard-ckpt", 16, 1, invBench(m), invDelay(m))

@@ -10,23 +10,10 @@ import (
 	"testing"
 
 	"vstat/internal/circuits"
-	"vstat/internal/core"
 	"vstat/internal/measure"
 	"vstat/internal/montecarlo"
 	"vstat/internal/spice"
-	"vstat/internal/variation"
 )
-
-// mismatchedVS is the VS model with the golden mismatch coefficients.
-// core.DefaultStatVS carries zero α's, so its Statistical factory returns
-// the nominal card for every device; a test that compares samples must
-// draw from this model, or it compares identical samples.
-func mismatchedVS() *core.StatVS {
-	m := core.DefaultStatVS()
-	m.AlphaN = variation.GoldenTruthNMOS()
-	m.AlphaP = variation.GoldenTruthPMOS()
-	return m
-}
 
 // TestWaveformsPinned pins the solver's output below print precision: a
 // SHA-256 over the bits of every row of four mismatched pooled INV FO3

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vstat/internal/circuits"
-	"vstat/internal/core"
 )
 
 // maxSquareBisect is the oracle for maxSquare: the same 241 anchors, each
@@ -72,7 +71,7 @@ func checkSNMOracle(t *testing.T, left, right circuits.ButterflyCurve) {
 // Mismatched cells' READ and HOLD butterflies: the closed-form square
 // matches the bisection oracle on real curves.
 func TestSNMMatchesBisection(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	cell := circuits.NewPooledSRAM(0.9, circuits.DefaultSRAMSizing(), m.Nominal(), 61, false)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 12; i++ {

@@ -7,7 +7,18 @@ import (
 	"vstat/internal/circuits"
 	"vstat/internal/core"
 	"vstat/internal/spice"
+	"vstat/internal/variation"
 )
+
+// mismatchedVS is the VS model with the golden mismatch coefficients:
+// core.DefaultStatVS carries zero α's, so its Statistical factory returns
+// the nominal card for every device.
+func mismatchedVS() *core.StatVS {
+	m := core.DefaultStatVS()
+	m.AlphaN = variation.GoldenTruthNMOS()
+	m.AlphaP = variation.GoldenTruthPMOS()
+	return m
+}
 
 // TestBypassLedger pins the model-evaluation ledger under the device
 // bypass: every Newton iteration evaluates or bypasses each MOSFET once, so
@@ -19,7 +30,7 @@ import (
 // seeds nothing, so an SRAM butterfly's four sweeps balance at
 // NewtonIters·NumMOS, with the exact-point reuse serving some of them.
 func TestBypassLedger(t *testing.T) {
-	m := core.DefaultStatVS()
+	m := mismatchedVS()
 	rng := rand.New(rand.NewSource(5))
 	const vdd = 0.9
 
