@@ -349,7 +349,12 @@ func (c *Circuit) stampDense(jac *linalg.Matrix, k jacKey) {
 		addJ(br, v.p, 1)
 		addJ(br, v.n, -1)
 	}
+	var fac float64 // the charge companion's conductance per farad
 	if k.tran {
+		fac = 1 / k.h
+		if k.trapPhase {
+			fac = 2 / k.h
+		}
 		for i := range c.cs {
 			cp := &c.cs[i]
 			geq := cp.c / k.h
@@ -371,10 +376,6 @@ func (c *Circuit) stampDense(jac *linalg.Matrix, k jacKey) {
 			addJ(m.s, term[j], -dv.GId[j])
 		}
 		if k.tran {
-			fac := 1 / k.h
-			if k.trapPhase {
-				fac = 2 / k.h
-			}
 			for r := 0; r < 4; r++ {
 				for j := 0; j < 4; j++ {
 					addJ(term[r], term[j], fac*dv.CQ[r][j])

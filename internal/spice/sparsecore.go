@@ -5,11 +5,12 @@ package spice
 // one CSC value-slot index per (element, entry) stamp site — is computed
 // once per topology; every later Jacobian pass writes its stamps straight
 // into the values array with no map lookups, no dense n² zeroing, and no
-// allocation. The pass runs apart from the residual pass and only when the
-// held factorization is stale (see newton). The pattern is the union of the DC and transient stamps and
-// always contains every node diagonal, so gmin stepping, pseudo-transient
-// anchoring, and the whole rescue ladder hit reserved slots and reuse the
-// same symbolic factorization. See DESIGN.md §9.
+// allocation. The pass runs apart from the residual pass, and only when the
+// held factorization is stale (see newton). The pattern is the union of the
+// DC and transient stamps and always contains every node diagonal, so gmin
+// stepping, pseudo-transient anchoring, and the whole rescue ladder hit
+// reserved slots and reuse the same symbolic factorization. See DESIGN.md
+// §9.
 
 import (
 	"os"
@@ -216,7 +217,12 @@ func (c *Circuit) stampSparse(k jacKey) {
 		addSlot(av, q[3], -1)
 	}
 
+	var fac float64 // the charge companion's conductance per farad
 	if k.tran {
+		fac = 1 / k.h
+		if k.trapPhase {
+			fac = 2 / k.h
+		}
 		for i := range c.cs {
 			cp := &c.cs[i]
 			geq := cp.c / k.h
@@ -235,10 +241,6 @@ func (c *Circuit) stampSparse(k jacKey) {
 			addSlot(av, ms[4+j], -dv.GId[j])
 		}
 		if k.tran {
-			fac := 1 / k.h
-			if k.trapPhase {
-				fac = 2 / k.h
-			}
 			for r := 0; r < 4; r++ {
 				for j := 0; j < 4; j++ {
 					addSlot(av, ms[8+4*r+j], fac*dv.CQ[r][j])
