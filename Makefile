@@ -21,9 +21,15 @@ obs:
 
 # Sparse linear core rung: the symbolic-once sparse LU and the stamp-list
 # assembly path, under the race detector (the symbolic object is shared
-# per-worker state in pooled Monte Carlo).
+# per-worker state in pooled Monte Carlo), including the held
+# factorization's reuse rule (TestJacobianReuseRule: whenever a circuit
+# marks its factorization current, a fresh Jacobian pass under the held
+# key reproduces its values bit for bit). Then the Waveforms pin, so that
+# a solver change that moves a mismatched INV, DFF or SRAM waveform fails
+# here by name.
 sparse:
 	$(GO) test -race ./internal/linalg/ ./internal/spice/ -count=1
+	$(GO) test -count=1 -run 'TestWaveforms' ./internal/experiments/
 
 # Run-lifecycle rung: context cancellation (device-level experiments
 # included), per-sample budgets, the hang watchdog, checkpoint/resume, a

@@ -174,7 +174,7 @@ type Circuit struct {
 	// values stampSparse wrote under spKey from the MOSFETs' bypass bundles
 	// as they are now. A written bundle, a new stamp map or a failed
 	// factorization clears it; newton reuses the factorization while it
-	// holds and the key matches (spHeld).
+	// holds and the key matches.
 	spCurrent bool
 	spKey     jacKey
 

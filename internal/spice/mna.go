@@ -618,8 +618,8 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 		//
 		// The residual pass runs every iteration. On the sparse core the
 		// Jacobian pass and the factorization run only when the held
-		// factorization is stale (spHeld): a bundle was written since it was
-		// made, or the key moved. Otherwise they would reproduce the held
+		// factorization is stale: a bundle was written since it was made
+		// (spCurrent), or the key moved. Otherwise they would reproduce the held
 		// values and factors bit for bit, which is what a device bypass that
 		// serves every MOSFET leaves. The dense core stamps and factors
 		// every time.
@@ -636,7 +636,7 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 			if useSparse {
 				c.assembleResidual(x, f, ctx, true)
 				jk = c.jacKeyOf(ctx)
-				if refresh = !c.spHeld(jk); refresh {
+				if refresh = !c.spCurrent || c.spKey != jk; refresh {
 					c.spCurrent = false // the pass overwrites the held values
 					c.stampSparse(jk)
 				}
@@ -645,7 +645,7 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 			}
 			c.obsScope.Exit()
 		} else {
-			c.assemble(x, f, nil, ctx, false)
+			c.assembleResidual(x, f, ctx, false)
 		}
 		// Reject NaN/Inf residuals before they reach the linear solve: a
 		// single non-finite model evaluation would otherwise smear NaN over

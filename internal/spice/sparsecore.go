@@ -250,13 +250,6 @@ func (c *Circuit) stampSparse(k jacKey) {
 	}
 }
 
-// spHeld reports whether spLU holds the factorization of the Jacobian that
-// stampSparse would stamp now under k: the last factorization was made
-// under k, and no bundle has been written since (spCurrent).
-func (c *Circuit) spHeld(k jacKey) bool {
-	return c.spCurrent && c.spLU != nil && c.spKey == k
-}
-
 // factorSparse refreshes the sparse numeric factors from the just-stamped
 // CSC values. The first call per pattern runs the one-time symbolic
 // analysis (pivot order, fill, elimination tape) against the current
