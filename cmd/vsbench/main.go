@@ -41,6 +41,7 @@ import (
 	obstrace "vstat/internal/obs/trace"
 	"vstat/internal/shard"
 	"vstat/internal/spice"
+	"vstat/internal/variation"
 	"vstat/internal/vsmodel"
 )
 
@@ -353,14 +354,14 @@ func (s *shardSide) apply(rec *unitRecord) {
 // record's shard_* fields via side. Each endpoint runs a single-worker
 // engine, so total parallelism matches the endpoint count and the
 // per-sample alloc figures stay comparable to the local rows.
-func shardGateUnit(m core.StatModel, vdd float64, sz circuits.Sizing, shardSize, endpoints int, side *shardSide,
+func shardGateUnit(m core.StatModel, model string, vdd float64, sz circuits.Sizing, shardSize, endpoints int, side *shardSide,
 	build func(vdd float64, sz circuits.Sizing, nominal circuits.Factory, fast bool) (*circuits.PooledGate, error)) unitFn {
 	return func(ctx context.Context, n int, seed int64, workers int, opts montecarlo.RunOpts, fast bool, lcore spice.LinearCore, mi *experiments.MCInstr, mr *matRec) (spice.SolverStats, montecarlo.RunReport, error) {
 		if opts.Checkpoint != nil {
 			return spice.SolverStats{}, montecarlo.RunReport{}, fmt.Errorf("sharded rows cannot checkpoint (shards are the retry unit)")
 		}
 		var pool statsPool
-		hash := montecarlo.ConfigHash("vsbench-shard", seed, n, vdd, lcore.String(), fast)
+		hash := montecarlo.ConfigHash("vsbench-shard", seed, n, vdd, lcore.String(), fast, model)
 		exec := shard.NewExecutor(hash, workers,
 			func(int) (instrState[*circuits.PooledGate], error) {
 				b, err := build(vdd, sz, m.Nominal(), fast)
@@ -556,6 +557,7 @@ type benchLC struct {
 	ckDir  string
 	resume bool
 	vdd    float64
+	model  string // modelID of the statistical model every unit draws from
 
 	// rec/runSpan/traceK drive the -trace-out flight recorder: each unit's
 	// distribution pass runs with a trace.MC under a per-unit span parented
@@ -565,6 +567,12 @@ type benchLC struct {
 	runSpan uint64
 	traceK  int
 }
+
+// modelID identifies a statistical model in the checkpoint and shard config
+// hashes: its nominal cards and mismatch coefficients, each float printed
+// exactly. A checkpoint written under other α's, such as zero ones, then
+// fails its hash check on -resume instead of mixing two populations.
+func modelID(m *core.StatVS) string { return fmt.Sprintf("%v", *m) }
 
 // runUnit times one unit and turns the raw counters into a record. The
 // timed pass always runs uninstrumented so ns/allocs per sample stay
@@ -585,7 +593,7 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 			return unitRecord{}, fmt.Errorf("checkpoint dir: %w", err)
 		}
 		path := filepath.Join(lc.ckDir, fmt.Sprintf("%s-%s-%s.ckpt.json", name, core, mode))
-		hash := montecarlo.ConfigHash(seed, n, lc.vdd, name, core.String(), mode)
+		hash := montecarlo.ConfigHash(seed, n, lc.vdd, name, core.String(), mode, lc.model)
 		var err error
 		ck, err = openCk(path, hash, n, lc.resume)
 		if err != nil {
@@ -882,7 +890,13 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Every unit draws mismatched devices: the golden-truth α's, which the
+	// contract tests draw from too. DefaultStatVS alone has zero α's and
+	// would give every device its nominal card.
 	m := core.DefaultStatVS()
+	m.AlphaN = variation.GoldenTruthNMOS()
+	m.AlphaP = variation.GoldenTruthPMOS()
+	lc.model = modelID(m)
 	sz := circuits.Sizing{WP: 600e-9, WN: 300e-9, L: 40e-9}
 	invBuild := func(vdd float64, sz circuits.Sizing, f circuits.Factory, fast bool) (*circuits.PooledGate, error) {
 		return circuits.NewPooledInverterFO(3, vdd, sz, f, fast)
@@ -911,9 +925,9 @@ func main() {
 		invSS, nandSS := &shardSide{}, &shardSide{}
 		units = append(units,
 			unitRun{name: "INV_FO3_SHARD",
-				fn: shardGateUnit(m, *vdd, sz, *shardSz, *shardEps, invSS, invBuild), ssd: invSS},
+				fn: shardGateUnit(m, lc.model, *vdd, sz, *shardSz, *shardEps, invSS, invBuild), ssd: invSS},
 			unitRun{name: "NAND2_FO3_SHARD",
-				fn: shardGateUnit(m, *vdd, sz, *shardSz, *shardEps, nandSS, nandBuild), ssd: nandSS},
+				fn: shardGateUnit(m, lc.model, *vdd, sz, *shardSz, *shardEps, nandSS, nandBuild), ssd: nandSS},
 		)
 	}
 
