@@ -52,20 +52,19 @@ func (m *StatVS) Card(k device.Kind, w, l float64) vsmodel.Params {
 	return m.NMOS.WithGeometry(w, l)
 }
 
-// Nominal returns a factory producing unperturbed instances.
+// Nominal returns a factory producing unperturbed, bound instances.
 func (m *StatVS) Nominal() circuits.Factory {
 	return func(k device.Kind, w, l float64) device.Device {
-		p := m.Card(k, w, l)
-		return &p
+		return m.Card(k, w, l).Bind()
 	}
 }
 
 // Statistical returns a factory that draws fresh independent mismatch
-// deltas from rng for every transistor instance.
+// deltas from rng for every transistor instance and binds it, so its
+// bias-independent quantities are computed once per draw.
 func (m *StatVS) Statistical(rng *rand.Rand) circuits.Factory {
 	return func(k device.Kind, w, l float64) device.Device {
-		p := m.Card(k, w, l).ApplyDeltas(m.Alphas(k).Sample(rng, w, l))
-		return &p
+		return m.Card(k, w, l).ApplyDeltas(m.Alphas(k).Sample(rng, w, l)).Bind()
 	}
 }
 

@@ -98,8 +98,7 @@ func (m *StatVS) cornerSign(c Corner, k device.Kind) float64 {
 // and sigma level.
 func (m *StatVS) CornerFactory(c Corner, nsigma float64) circuits.Factory {
 	return func(k device.Kind, w, l float64) device.Device {
-		card := m.Card(k, w, l).ApplyDeltas(m.CornerDeltas(c, k, w, l, nsigma))
-		return &card
+		return m.CornerCard(c, k, w, l, nsigma).Bind()
 	}
 }
 

@@ -252,11 +252,9 @@ func parseWL(wTok, lTok string) (w, l float64, err error) {
 func modelInstance(model string, w, l float64) (device.Device, error) {
 	switch strings.ToLower(model) {
 	case "nmos":
-		p := vsmodel.NMOS40(w).WithGeometry(w, l)
-		return &p, nil
+		return vsmodel.NMOS40(w).WithGeometry(w, l).Bind(), nil
 	case "pmos":
-		p := vsmodel.PMOS40(w).WithGeometry(w, l)
-		return &p, nil
+		return vsmodel.PMOS40(w).WithGeometry(w, l).Bind(), nil
 	case "nmos_golden":
 		p := bsim.NMOS40(w).WithGeometry(w, l)
 		return &p, nil

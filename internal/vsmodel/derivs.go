@@ -19,8 +19,8 @@ import "vstat/internal/device"
 // series solve analytically, so a full derivative bundle costs no core
 // evaluations beyond the solve itself. The bundle is built in the result
 // and permuted in place: at 200 bytes, every copy of it shows in a profile.
-func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) (der device.Derivs) {
-	pol := p.TypeK.Polarity()
+func (in *Instance) EvalDerivs4(vd, vg, vs, vb float64) (der device.Derivs) {
+	pol := in.p.TypeK.Polarity()
 	nvd, nvg, nvs, nvb := pol*vd, pol*vg, pol*vs, pol*vb
 	swap := false
 	if nvd < nvs {
@@ -32,18 +32,16 @@ func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) (der device.Derivs) {
 	vbs := nvb - nvs
 	vgd := nvg - nvd
 
-	w := p.Weff()
-	leff := p.Leff()
+	w := in.weff
 	if w <= 0 {
 		return
 	}
-	rs := p.Rs0 / w
-	rd := p.Rd0 / w
+	rs, rd := in.rs, in.rd
 
 	// Solve once for the operating state; the converged evaluation carries
 	// the analytic core partials at the internal bias.
 	var st seriesState
-	p.solveSeriesD(vgs, vds, vbs, &st)
+	in.solveSeriesD(vgs, vds, vbs, &st)
 	id, qixo, fsat := st.id, st.co.q, st.co.s
 	Fg := w * st.co.fG
 	Fd := w * st.co.fD
@@ -85,11 +83,10 @@ func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) (der device.Derivs) {
 	dvgdT := [4]float64{-1, 1, 0, 0}
 
 	// Charge assembly pieces.
-	wl := w * leff
+	wl, covW := in.wl, in.covW
 	qInv := wl * qixo * (1 - fsat/3)
 	qdFrac := 0.5 - fsat/10
 	qsFrac := 0.5 + fsat/10
-	covW := p.Cof * w
 
 	// Values (n-equivalent, unswapped).
 	der.Id = id
@@ -125,6 +122,13 @@ func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) (der device.Derivs) {
 		// currents/charges and voltages.
 	}
 	return
+}
+
+// EvalDerivs4 implements device.NativeDerivs through a temporary Instance.
+func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) device.Derivs {
+	var in Instance
+	in.bind(p)
+	return in.EvalDerivs4(vd, vg, vs, vb)
 }
 
 // swapDerivs exchanges the drain and source roles of a derivative bundle in

@@ -9,6 +9,33 @@ import (
 	"vstat/internal/device"
 )
 
+// solveSeriesD runs the series solve of a card through a temporary
+// Instance, as the card's Eval does.
+func (p *Params) solveSeriesD(vgs, vds, vbs float64, st *seriesState) {
+	var in Instance
+	in.bind(p)
+	in.solveSeriesD(vgs, vds, vbs, st)
+}
+
+// solveSeries returns the card's converged drain current (A), charge
+// density, saturation measure and internal drain-source voltage.
+func (p *Params) solveSeries(vgs, vds, vbs float64) (id, qixo, fsat, vdsi float64) {
+	var st seriesState
+	p.solveSeriesD(vgs, vds, vbs, &st)
+	return st.id, st.co.q, st.co.s, st.vdsi
+}
+
+// coreBias computes the intrinsic (post-series-resistance) drain current per
+// unit width for an n-equivalent device with source-referred internal
+// voltages vgsi, vdsi (vdsi ≥ 0) and body vbsi. It also returns the virtual
+// source charge density and the saturation function value for the charge
+// model.
+func (p *Params) coreBias(vgsi, vdsi, vbsi float64) (idPerW, qixo, fsat float64) {
+	var co coreOut
+	p.Bind().coreBiasPreD(vgsi, vdsi, vbsi, &co)
+	return co.f, co.q, co.s
+}
+
 // Property: the series-resistance solution satisfies its own implicit
 // equation — re-evaluating the core at the degraded internal bias must give
 // back the solved current.

@@ -150,10 +150,9 @@ func (p Params) ApplyDeltas(d device.Deltas) Params {
 }
 
 // WithDeltas returns an independent statistical instance perturbed by the
-// local-mismatch deltas.
+// local-mismatch deltas, bound (see Instance).
 func (p *Params) WithDeltas(d device.Deltas) device.Device {
-	q := p.ApplyDeltas(d)
-	return &q
+	return p.ApplyDeltas(d).Bind()
 }
 
 // WithGeometry returns a copy of the card re-targeted to a new drawn W/L.
@@ -163,24 +162,73 @@ func (p Params) WithGeometry(w, l float64) Params {
 	return p
 }
 
-// coreBias computes the intrinsic (post-series-resistance) drain current per
-// unit width for an n-equivalent device with source-referred internal
-// voltages vgsi, vdsi (vdsi ≥ 0) and body vbsi. It also returns the virtual
-// source charge density and the saturation function value for the charge
-// model.
-func (p *Params) coreBias(vgsi, vdsi, vbsi float64) (idPerW, qixo, fsat float64) {
-	leff := p.Leff()
-	return p.coreBiasPre(vgsi, vdsi, vbsi, p.Delta(leff), p.Vxo*leff/p.Mu)
+// Instance is a card bound to its bias-independent quantities, which are
+// computed once, when the instance is made, instead of in every evaluation
+// (MVS 2.0's init_tech_specific_constants does the same). Each quantity is
+// computed with the expression the evaluation used before it was bound, so
+// an Instance returns the same bits as the card it was bound from. The
+// card is a private copy: nothing can change an Instance once it is made.
+// The circuit factories return instances; the mutable Params evaluates
+// through a temporary one, so both run one kernel.
+type Instance struct {
+	p Params
+
+	weff      float64 // Weff
+	rs, rd    float64 // Rs0/Weff, Rd0/Weff
+	delta     float64 // δ(Leff) = Delta0·exp((LRef − Leff)/LDelta)
+	vdsats    float64 // strong-inversion saturation voltage vxo·Leff/µ
+	sqrtPhiB  float64 // √φB
+	vbsMax    float64 // φB − 0.05, the body-bias clamp
+	aphit     float64 // αφt
+	aphitHalf float64 // αφt/2
+	ffArgG    float64 // −1/(αφt), the FF argument's ∂/∂vgsi
+	ffArgD    float64 // (−δ)/(αφt), the FF argument's ∂/∂vdsi
+	nphitD    float64 // Nd·φt = ∂(nφt)/∂vdsi (punch-through)
+	vdsatP    float64 // φt − vxo·Leff/µ = ∂vdsat/∂FF
+	wl        float64 // Weff·Leff
+	covW      float64 // Cof·Weff
 }
 
-// coreBiasPre is coreBias with the bias-independent quantities δ(Leff) and
-// the strong-inversion saturation voltage precomputed. The values come from
-// the derivative-carrying kernel, whose value arithmetic is identical.
-func (p *Params) coreBiasPre(vgsi, vdsi, vbsi, delta, vdsats float64) (idPerW, qixo, fsat float64) {
-	var co coreOut
-	p.coreBiasPreD(vgsi, vdsi, vbsi, delta, vdsats, &co)
-	return co.f, co.q, co.s
+// Bind returns the card bound as an Instance.
+func (p Params) Bind() *Instance {
+	in := new(Instance)
+	in.bind(&p)
+	return in
 }
+
+// bind copies the card into in and computes its bias-independent
+// quantities.
+func (in *Instance) bind(p *Params) {
+	in.p = *p
+	in.weff = p.Weff()
+	leff := p.Leff()
+	in.rs = p.Rs0 / in.weff
+	in.rd = p.Rd0 / in.weff
+	in.delta = p.Delta(leff)
+	in.vdsats = p.Vxo * leff / p.Mu
+	in.sqrtPhiB = math.Sqrt(p.PhiB)
+	in.vbsMax = p.PhiB - 0.05
+	in.aphit = p.Alpha * p.PhiT
+	in.aphitHalf = in.aphit / 2
+	in.ffArgG = -1 / in.aphit
+	in.ffArgD = -in.delta / in.aphit
+	in.nphitD = p.Nd * p.PhiT
+	in.vdsatP = p.PhiT - in.vdsats
+	in.wl = in.weff * leff
+	in.covW = p.Cof * in.weff
+}
+
+// Card returns a copy of the card the instance was bound from.
+func (in *Instance) Card() Params { return in.p }
+
+// Kind returns the channel polarity.
+func (in *Instance) Kind() device.Kind { return in.p.TypeK }
+
+// Width returns the drawn width in meters.
+func (in *Instance) Width() float64 { return in.p.W }
+
+// Length returns the drawn gate length in meters.
+func (in *Instance) Length() float64 { return in.p.Lgdr }
 
 // coreOut bundles one core evaluation with its analytic partial derivatives
 // with respect to the internal voltages (vgsi, vdsi, vbsi): f is the drain
@@ -200,26 +248,34 @@ type coreOut struct {
 // Fsat/(x(1+x^β))), so a derivative-carrying evaluation costs the same
 // exp/log budget as a plain one — which is what lets the series solver run
 // Newton instead of secant and the simulator skip finite differences
-// entirely. The value arithmetic is statement-identical to the historical
-// coreBiasPre: keep the two in sync. The result is written
-// into the caller's coreOut in place (the 96-byte struct would otherwise be
-// copied twice per solver iteration).
-func (p *Params) coreBiasPreD(vgsi, vdsi, vbsi, delta, vdsats float64, co *coreOut) {
+// entirely.
+//
+// The charge's softplus chain (exp, then log1p) and the Fsat chain (log,
+// exp, log1p, exp) do not feed each other, and a dependent exp costs about
+// three times an independent one. So the first two steps of the chains are
+// issued in pairs, exp(arg) next to log(x) and then log1p(e) next to
+// exp(β·log x), and their latencies overlap. Every operation and operand is
+// the one the chains computed back to back, so the values are the same
+// bits (FuzzCoreOverlap holds the kernel to that serial form). The result
+// is written into the caller's coreOut in place (the 96-byte struct would
+// otherwise be copied twice per solver iteration).
+func (in *Instance) coreBiasPreD(vgsi, vdsi, vbsi float64, co *coreOut) {
+	p := &in.p
 	phit := p.PhiT
 
 	// Body-corrected, DIBL-corrected threshold.
 	vbsEff := vbsi
 	clamped := false
-	if max := p.PhiB - 0.05; vbsEff > max {
-		vbsEff = max // clamp to keep sqrt real; deep forward body bias is outside model validity
+	if vbsEff > in.vbsMax {
+		vbsEff = in.vbsMax // clamp to keep sqrt real; deep forward body bias is outside model validity
 		clamped = true
 	}
-	vt := p.VT0 - delta*vdsi
-	vtD := -delta // ∂vt/∂vdsi (DIBL)
-	vtB := 0.0    // ∂vt/∂vbsi (body effect)
+	vt := p.VT0 - in.delta*vdsi
+	vtD := -in.delta // ∂vt/∂vdsi (DIBL)
+	vtB := 0.0       // ∂vt/∂vbsi (body effect)
 	if p.GammaB != 0 {
 		sq := math.Sqrt(p.PhiB - vbsEff)
-		vt += p.GammaB * (sq - math.Sqrt(p.PhiB))
+		vt += p.GammaB * (sq - in.sqrtPhiB)
 		if !clamped {
 			vtB = -p.GammaB / (2 * sq)
 		}
@@ -227,43 +283,63 @@ func (p *Params) coreBiasPreD(vgsi, vdsi, vbsi, delta, vdsats float64, co *coreO
 
 	n := p.N0 + p.Nd*vdsi
 	nphit := n * phit
-	nphitD := p.Nd * phit // ∂nphit/∂vdsi (punch-through)
-	aphit := p.Alpha * phit
+	aphit := in.aphit
 
 	// Inversion transition function FF: →1 in weak inversion, →0 in strong.
-	ff, ffp := logisticD((vt - aphit/2 - vgsi) / aphit)
-	ffG := ffp * (-1 / aphit)
-	ffD := ffp * (vtD / aphit)
+	ff, ffp := logisticD((vt - in.aphitHalf - vgsi) / aphit)
+	ffG := ffp * in.ffArgG
+	ffD := ffp * in.ffArgD
 	ffB := ffp * (vtB / aphit)
 
 	// Virtual-source charge density (paper's charge expression).
-	num := vgsi - (vt - p.Alpha*phit*ff)
+	num := vgsi - (vt - aphit*ff)
 	numG := 1 + aphit*ffG
 	numD := aphit*ffD - vtD
 	numB := aphit*ffB - vtB
 	arg := num / nphit
-	sp, spp := softplusD(arg)
-	co.q = p.Cinv * nphit * sp
-	cspp := p.Cinv * nphit * spp
-	co.qG = cspp * (numG / nphit)
-	co.qD = p.Cinv*nphitD*sp + cspp*((numD-arg*nphitD)/nphit)
-	co.qB = cspp * (numB / nphit)
 
 	// Saturation voltage blends the strong-inversion value vxo·Leff/µ with
 	// the thermal value φt in weak inversion.
-	vdsat := vdsats*(1-ff) + phit*ff
-	vdsatP := phit - vdsats // d vdsat / d ff
-
-	// Saturation function Fsat (paper Eq. 3), written with explicit
-	// exp/log so the two pow calls collapse to one exp+log pair each.
+	vdsat := in.vdsats*(1-ff) + phit*ff
 	x := vdsi / vdsat
+
+	// The two chains' first steps: softplus(arg) = log1p(e^arg), guarded
+	// against overflow above 40 and reduced to e^arg below −40, and
+	// Fsat's t = x^β, written as exp(β·log x) so that each pow collapses to
+	// one exp+log pair.
+	var e, lx float64
+	if !(arg > 40) {
+		e = math.Exp(arg)
+	}
 	if x > 0 {
-		t := math.Exp(p.Beta * math.Log(x))
+		lx = math.Log(x)
+	}
+	var sp, spp, t float64 // softplus(arg), its derivative e/(1+e), x^β
+	switch {
+	case arg > 40:
+		sp, spp = arg, 1
+	case arg < -40:
+		sp, spp = e, e
+	default:
+		sp, spp = math.Log1p(e), e/(1+e)
+	}
+	if x > 0 {
+		t = math.Exp(p.Beta * lx)
+	}
+
+	co.q = p.Cinv * nphit * sp
+	cspp := p.Cinv * nphit * spp
+	co.qG = cspp * (numG / nphit)
+	co.qD = p.Cinv*in.nphitD*sp + cspp*((numD-arg*in.nphitD)/nphit)
+	co.qB = cspp * (numB / nphit)
+
+	// Saturation function Fsat (paper Eq. 3).
+	if x > 0 {
 		co.s = x * math.Exp(-math.Log1p(t)/p.Beta)
 		dfdx := co.s / (x * (1 + t))
-		co.sG = dfdx * (-(x * vdsatP * ffG) / vdsat)
-		co.sD = dfdx * ((1 - x*vdsatP*ffD) / vdsat)
-		co.sB = dfdx * (-(x * vdsatP * ffB) / vdsat)
+		co.sG = dfdx * (-(x * in.vdsatP * ffG) / vdsat)
+		co.sD = dfdx * ((1 - x*in.vdsatP*ffD) / vdsat)
+		co.sB = dfdx * (-(x * in.vdsatP * ffB) / vdsat)
 	} else {
 		// x = 0 happens at vdsi = 0 (e.g. equal node voltages at DC init, or
 		// a device pulled fully linear). Fsat(x) = x·(1+x^β)^(−1/β) has the
@@ -292,24 +368,16 @@ type seriesState struct {
 	evals int
 }
 
-// solveSeries solves the series-resistance feedback self-consistently for an
-// n-equivalent device with external source-referred voltages (vds ≥ 0):
+// solveSeriesD solves the series-resistance feedback self-consistently for
+// an n-equivalent device with external source-referred voltages (vds ≥ 0):
 // the internal voltages are vgsi = vgs − Id·Rs and vdsi = vds − Id·(Rs+Rd).
-// It returns the converged drain current (A), charge density and saturation
-// measure at the internal bias.
-func (p *Params) solveSeries(vgs, vds, vbs float64) (id, qixo, fsat, vdsi float64) {
-	var st seriesState
-	p.solveSeriesD(vgs, vds, vbs, &st)
-	return st.id, st.co.q, st.co.s, st.vdsi
-}
-
-// solveSeriesD is the derivative-carrying series solve. The root of
-// g(I) = I − F(I), with F the core current at the degraded internal bias, is
-// found by Newton iteration on the analytic slope g' = 1 − dF/dI,
-// safeguarded by the bracket [0, F(0)]: F is monotone decreasing in I, so
-// g(0) = −F(0) < 0 and g(F(0)) ≥ 0 hold without evaluating the upper
-// endpoint, dF/dI ≤ 0 keeps g' ≥ 1 (no division hazards), and any Newton
-// step that leaves the bracket falls back to bisection. Unlike plain
+// The root of g(I) = I − F(I), with F the core current at the degraded
+// internal bias, is found by Newton iteration on the analytic slope
+// g' = 1 − dF/dI, safeguarded by the bracket [0, F(0)]: F is monotone
+// decreasing in I, so g(0) = −F(0) < 0 and g(F(0)) ≥ 0 hold without
+// evaluating the upper endpoint, dF/dI ≤ 0 keeps g' ≥ 1 (no division
+// hazards), and any Newton step that leaves the bracket falls back to
+// bisection. Unlike plain
 // fixed-point iteration the solve stays convergent in the deep linear region
 // where gds·(Rs+Rd) exceeds unity. The tolerance is relative (~1e-9 of the
 // drive current), far tighter than the simulator's Newton residual
@@ -323,18 +391,14 @@ func (p *Params) solveSeries(vgs, vds, vbs float64) (id, qixo, fsat, vdsi float6
 //
 // The solve fills the caller's st, which it resets first: at 128 bytes a
 // returned state would be copied on every device evaluation.
-func (p *Params) solveSeriesD(vgs, vds, vbs float64, st *seriesState) {
+func (in *Instance) solveSeriesD(vgs, vds, vbs float64, st *seriesState) {
 	*st = seriesState{}
-	w := p.Weff()
+	w := in.weff
 	if w <= 0 {
 		st.vdsi = vds
 		return
 	}
-	rs := p.Rs0 / w
-	rd := p.Rd0 / w
-	leff := p.Leff()
-	delta := p.Delta(leff)
-	vdsats := p.Vxo * leff / p.Mu
+	rs, rd := in.rs, in.rd
 
 	// eval writes the core evaluation straight into st.co ("last evaluation
 	// wins").
@@ -348,7 +412,7 @@ func (p *Params) solveSeriesD(vgs, vds, vbs float64, st *seriesState) {
 			dvd = 0
 		}
 		vbsi := vbs - i*rs
-		p.coreBiasPreD(vgsi, vdsiOut, vbsi, delta, vdsats, &st.co)
+		in.coreBiasPreD(vgsi, vdsiOut, vbsi, &st.co)
 		f = w * st.co.f
 		df = w * (st.co.fG*(-rs) + st.co.fD*dvd + st.co.fB*(-rs))
 		return f, df, vdsiOut
@@ -370,7 +434,7 @@ func (p *Params) solveSeriesD(vgs, vds, vbs float64, st *seriesState) {
 	if !(x > a && x < b) {
 		x = 0.5 * (a + b)
 		prev = 0
-	} else if firstIterateConverged(w*st.co.q*p.Vxo, p.PhiT, rs+rd, x, df0, tol) {
+	} else if firstIterateConverged(w*st.co.q*in.p.Vxo, in.p.PhiT, rs+rd, x, df0, tol) {
 		st.id, st.vdsi = x, acceptMove(&st.co, x, 0, vds, rs, rd)
 		return
 	}
@@ -449,11 +513,11 @@ func acceptMove(co *coreOut, xa, xe, vds, rs, rd float64) float64 {
 // source-referenced with Vds ≥ 0), and assembles terminal charges. A device
 // with no effective width (Weff ≤ 0) has no channel and no overlap: it
 // returns zeros, as EvalDerivs4 does.
-func (p *Params) Eval(vd, vg, vs, vb float64) device.Eval {
-	if p.Weff() <= 0 {
+func (in *Instance) Eval(vd, vg, vs, vb float64) device.Eval {
+	if in.weff <= 0 {
 		return device.Eval{}
 	}
-	pol := p.TypeK.Polarity()
+	pol := in.p.TypeK.Polarity()
 	// n-equivalent absolute voltages.
 	nvd, nvg, nvs, nvb := pol*vd, pol*vg, pol*vs, pol*vb
 
@@ -466,8 +530,10 @@ func (p *Params) Eval(vd, vg, vs, vb float64) device.Eval {
 	vds := nvd - nvs
 	vbs := nvb - nvs
 
-	id, qixo, fsat, _ := p.solveSeries(vgs, vds, vbs)
-	q := p.charges(vgs, nvg-nvd, qixo, fsat)
+	var st seriesState
+	in.solveSeriesD(vgs, vds, vbs, &st)
+	id := st.id
+	q := in.charges(vgs, nvg-nvd, st.co.q, st.co.s)
 
 	if swap {
 		id = -id
@@ -480,6 +546,13 @@ func (p *Params) Eval(vd, vg, vs, vb float64) device.Eval {
 	return device.Eval{Id: id, Q: q}
 }
 
+// Eval implements device.Device through a temporary Instance.
+func (p *Params) Eval(vd, vg, vs, vb float64) device.Eval {
+	var in Instance
+	in.bind(p)
+	return in.Eval(vd, vg, vs, vb)
+}
+
 // charges assembles the terminal charges for the n-equivalent, unswapped
 // orientation. vgd = Vg−Vd is needed for the drain overlap charge.
 //
@@ -489,17 +562,14 @@ func (p *Params) Eval(vd, vg, vs, vb float64) device.Eval {
 // Ward–Dutton-like partition sliding from 50/50 at Vds=0 to the classic
 // 40/60 drain/source split in saturation (exact at both endpoints for a
 // square-law device).
-func (p *Params) charges(vgs, vgd, qixo, fsat float64) device.Charges {
-	w := p.Weff()
-	leff := p.Leff()
-	qInv := w * leff * qixo * (1 - fsat/3)
+func (in *Instance) charges(vgs, vgd, qixo, fsat float64) device.Charges {
+	qInv := in.wl * qixo * (1 - fsat/3)
 	qdFrac := 0.5 - fsat/10 // 0.5 → 0.4
 	qsFrac := 0.5 + fsat/10 // 0.5 → 0.6
 
 	// Overlap/fringe charges, one per edge.
-	covW := p.Cof * w
-	qovS := covW * vgs
-	qovD := covW * vgd
+	qovS := in.covW * vgs
+	qovD := in.covW * vgd
 
 	return device.Charges{
 		Qg: qInv + qovS + qovD,
@@ -509,30 +579,8 @@ func (p *Params) charges(vgs, vgd, qixo, fsat float64) device.Charges {
 	}
 }
 
-// logistic returns 1/(1+e^{-x}) with guard against overflow.
-func logistic(x float64) float64 {
-	if x > 40 {
-		return 1
-	}
-	if x < -40 {
-		return 0
-	}
-	return 1 / (1 + math.Exp(-x))
-}
-
-// softplus returns ln(1+e^{x}) with guards against overflow/underflow.
-func softplus(x float64) float64 {
-	if x > 40 {
-		return x
-	}
-	if x < -40 {
-		return math.Exp(x)
-	}
-	return math.Log1p(math.Exp(x))
-}
-
-// logisticD returns the logistic value (bit-identical to logistic) together
-// with its derivative s·(1−s), reusing the single exponential.
+// logisticD returns the logistic 1/(1+e^{-x}), guarded against overflow,
+// together with its derivative s·(1−s), reusing the single exponential.
 func logisticD(x float64) (s, d float64) {
 	if x > 40 {
 		return 1, 0
@@ -542,18 +590,4 @@ func logisticD(x float64) (s, d float64) {
 	}
 	s = 1 / (1 + math.Exp(-x))
 	return s, s * (1 - s)
-}
-
-// softplusD returns the softplus value (bit-identical to softplus) together
-// with its derivative e^x/(1+e^x), reusing the single exponential.
-func softplusD(x float64) (sp, d float64) {
-	if x > 40 {
-		return x, 1
-	}
-	if x < -40 {
-		e := math.Exp(x)
-		return e, e
-	}
-	e := math.Exp(x)
-	return math.Log1p(e), e / (1 + e)
 }
