@@ -112,6 +112,11 @@ tranrecord:
 # Model-numerics rung: the VS series-resistance solve against a bisection
 # root (its current within the solve's tolerance, qixo and Fsat at the root,
 # Eval equal to EvalDerivs4's values, and the pinned core-evaluation budget),
+# the VS core kernel, which interleaves its softplus and Fsat chains, against
+# its serial form bit for bit on every branch (FuzzCoreOverlap), a bound
+# vsmodel.Instance against its card's Eval and EvalDerivs4 bit for bit
+# (FuzzInstanceMatchesCard) and unchanged by later edits of that card
+# (TestBoundInstanceIgnoresCardChanges),
 # both models' native Jacobians against central finite differences over
 # ±6σ mismatched cards, and the device bypass's first-order bundle against
 # a direct evaluation for terminal moves within its 10 nV window, the
@@ -122,11 +127,13 @@ tranrecord:
 # minimization at 100 runs: one run costs about a millisecond, so the
 # default 60 s minimization of each new input would use the whole 10 s.
 numerics:
-	$(GO) test -count=1 -run 'SeriesSolve|NativeDerivs' ./internal/vsmodel/ ./internal/bsim/
+	$(GO) test -count=1 -run 'SeriesSolve|NativeDerivs|CoreOverlap|InstanceMatchesCard|BoundInstance' ./internal/vsmodel/ ./internal/bsim/
 	$(GO) test -count=1 -run 'BypassExtrapolation|TestIntegratorConvergenceOrder|TestNewtonNoiseFloorCycle' ./internal/spice/
 	$(GO) test -count=1 -run 'SNM' ./internal/measure/
 	$(GO) test -run xxx -fuzz FuzzSeriesSolve -fuzztime 10s ./internal/vsmodel/
 	$(GO) test -run xxx -fuzz FuzzNativeDerivsFD -fuzztime 10s ./internal/vsmodel/
+	$(GO) test -run xxx -fuzz FuzzCoreOverlap -fuzztime 10s ./internal/vsmodel/
+	$(GO) test -run xxx -fuzz FuzzInstanceMatchesCard -fuzztime 10s ./internal/vsmodel/
 	$(GO) test -run xxx -fuzz FuzzNativeDerivsFD -fuzztime 10s ./internal/bsim/
 	$(GO) test -run xxx -fuzz FuzzBypassExtrapolation -fuzztime 10s ./internal/spice/
 	$(GO) test -run xxx -fuzz FuzzSNM -fuzztime 10s -fuzzminimizetime 100x ./internal/measure/

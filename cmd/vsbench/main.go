@@ -151,7 +151,8 @@ type modelEvalRecord struct {
 
 // measureModelEval times nEvals VS derivative-bundle evaluations over a
 // fixed gate/drain bias grid on one Pelgrom-perturbed statistical instance
-// of the 40-nm NMOS card.
+// of the 40-nm NMOS card, bound (vsmodel.Instance) as the circuit factories
+// bind every device.
 func measureModelEval(vdd float64, nEvals int) modelEvalRecord {
 	rng := rand.New(rand.NewSource(40613))
 	p := vsmodel.NMOS40(300e-9).WithGeometry(300e-9, 40e-9)

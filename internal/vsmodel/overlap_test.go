@@ -6,12 +6,11 @@ import (
 	"testing"
 )
 
-// coreSerial is the core kernel as it was before its instance bound the
-// bias-independent quantities and before its softplus and Fsat chains were
-// interleaved: it takes δ(Leff) and vxo·Leff/µ as arguments, derives every
-// other constant from the card in each call and runs the two chains back to
-// back. It is the oracle FuzzCoreOverlap holds Instance.coreBiasPreD to,
-// bit for bit; keep its body as it is.
+// coreSerial is the core kernel's serial form, the oracle FuzzCoreOverlap
+// holds Instance.coreBiasPreD to bit for bit: it takes δ(Leff) and
+// vxo·Leff/µ as arguments, derives every other constant from the card in
+// each call, and runs the softplus chain to the end before the Fsat chain
+// starts.
 func (p *Params) coreSerial(vgsi, vdsi, vbsi, delta, vdsats float64, co *coreOut) {
 	phit := p.PhiT
 

@@ -164,12 +164,12 @@ func (p Params) WithGeometry(w, l float64) Params {
 
 // Instance is a card bound to its bias-independent quantities, which are
 // computed once, when the instance is made, instead of in every evaluation
-// (MVS 2.0's init_tech_specific_constants does the same). Each quantity is
-// computed with the expression the evaluation used before it was bound, so
-// an Instance returns the same bits as the card it was bound from. The
-// card is a private copy: nothing can change an Instance once it is made.
-// The circuit factories return instances; the mutable Params evaluates
-// through a temporary one, so both run one kernel.
+// (MVS 2.0's init_tech_specific_constants does the same). Each quantity
+// keeps the expression and operand order its evaluation would use, so the
+// kernel's values do not depend on where they were computed. The card is
+// a private copy: nothing can change an Instance once it is made. The
+// circuit factories return instances; the mutable Params evaluates through
+// a temporary one, so both run one kernel.
 type Instance struct {
 	p Params
 
