@@ -125,10 +125,13 @@ func (in *Instance) EvalDerivs4(vd, vg, vs, vb float64) (der device.Derivs) {
 }
 
 // EvalDerivs4 implements device.NativeDerivs through a temporary Instance.
-func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) device.Derivs {
+// The named result takes the bundle in one copy; a bare return of the call
+// copies it three times.
+func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) (der device.Derivs) {
 	var in Instance
 	in.bind(p)
-	return in.EvalDerivs4(vd, vg, vs, vb)
+	der = in.EvalDerivs4(vd, vg, vs, vb)
+	return
 }
 
 // swapDerivs exchanges the drain and source roles of a derivative bundle in
