@@ -24,7 +24,10 @@ obs:
 # per-worker state in pooled Monte Carlo), including the held
 # factorization's reuse rule (TestJacobianReuseRule: whenever a circuit
 # marks its factorization current, a fresh Jacobian pass under the held
-# key reproduces its values bit for bit). Then the Waveforms pin, so that
+# key reproduces its values bit for bit), and the grouped device
+# evaluation against the same mismatched INV, DFF and SRAM runs with every
+# device behind a decorator that forwards one evaluation at a time
+# (TestGroupedEvaluationMatchesForwarded). Then the Waveforms pin, so that
 # a solver change that moves a mismatched INV, DFF or SRAM waveform fails
 # here by name.
 sparse:
@@ -112,10 +115,13 @@ tranrecord:
 # Model-numerics rung: the VS series-resistance solve against a bisection
 # root (its current within the solve's tolerance, qixo and Fsat at the root,
 # Eval equal to EvalDerivs4's values, and the pinned core-evaluation budget),
-# the VS core kernel, which interleaves its softplus and Fsat chains, against
-# its serial form bit for bit on every branch (FuzzCoreOverlap), a bound
-# vsmodel.Instance against its card's Eval and EvalDerivs4 bit for bit
-# (FuzzInstanceMatchesCard) and unchanged by later edits of that card
+# the VS core kernel, which interleaves its softplus and Fsat chains, and
+# its lane form, which runs up to four devices' core evaluations stage by
+# stage beside each other, against the serial form bit for bit on every
+# branch (FuzzCoreOverlap), a bound vsmodel.Instance against its card's
+# Eval and EvalDerivs4 bit for bit, alone and in lockstep groups of two to
+# four with the one-device solve's core-evaluation count
+# (FuzzInstanceMatchesCard), and unchanged by later edits of that card
 # (TestBoundInstanceIgnoresCardChanges),
 # both models' native Jacobians against central finite differences over
 # ±6σ mismatched cards, and the device bypass's first-order bundle against

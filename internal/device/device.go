@@ -112,6 +112,29 @@ type NativeDerivs interface {
 	EvalDerivs4(vd, vg, vs, vb float64) Derivs
 }
 
+// LaneWidth is the most devices one EvalDerivsLanes call evaluates.
+const LaneWidth = 4
+
+// Lane is one device of a grouped evaluation: the device, its terminal
+// voltages in D, G, S, B order, and the bundle to fill.
+type Lane struct {
+	Dev LaneDerivs
+	V   [4]float64
+	Out *Derivs
+}
+
+// LaneDerivs is the optional grouped path for the devices one circuit
+// assembly evaluates: models that run faster on several devices at once
+// implement it, and the simulator hands them its independent evaluations
+// up to LaneWidth at a time. EvalDerivsLanes fills every lane's Out with
+// the bundle lane.Dev.EvalDerivs4 returns at lane.V, bit for bit. It takes
+// one to LaneWidth lanes, whose devices all have the receiver's concrete
+// type.
+type LaneDerivs interface {
+	NativeDerivs
+	EvalDerivsLanes(lanes []Lane)
+}
+
 // EvalDerivs evaluates the device and its derivatives, using the model's
 // native path when available and central finite differences otherwise.
 // Currents and charges depend only on terminal voltage *differences*, so

@@ -5,22 +5,24 @@ import "time"
 // Phase identifies one of the fixed Monte Carlo sample phases the Scope
 // attributes wall time to. The set matches the pooled MC pipeline: draw
 // the sample's parameter vector, re-stamp the pooled circuit, assemble the
-// Jacobian (device evaluation + stamping), factor it, run the Newton/
-// transient solve with its triangular solves carved out, and extract the
-// measurement. Splitting assembly from factorization and the triangular
-// solves from the Newton loop separates device-model cost from linear
-// algebra, so the dense-vs-sparse linear-core comparison is directly
-// measurable in BENCH_mc.json.
+// Jacobian, factor it, run the Newton/transient solve with its triangular
+// solves carved out, and extract the measurement; the device evaluations
+// an assembly makes are carved out of assembly (or, on a residual-only
+// pass, out of the solve). Splitting device evaluation from assembly,
+// assembly from factorization and the triangular solves from the Newton
+// loop separates device-model cost from linear algebra, so each shows in
+// BENCH_mc.json on its own.
 type Phase int32
 
 const (
-	PhaseDraw     Phase = iota // sample-draw: RNG + parameter vector
-	PhaseRestamp               // re-stamp: pooled circuit Restat
-	PhaseAssemble              // assemble-J: device evaluation + Jacobian stamping
-	PhaseFactor                // lu-factor: LU refresh (dense Factor / sparse Refactor)
-	PhaseTriSolve              // tri-solve: forward/back substitution per Newton iter
-	PhaseSolve                 // newton-solve: the solver proper (minus the above)
-	PhaseMeasure               // measure: waveform/metric extraction
+	PhaseDraw       Phase = iota // sample-draw: RNG + parameter vector
+	PhaseRestamp                 // re-stamp: pooled circuit Restat
+	PhaseAssemble                // assemble-J: residual and Jacobian stamping
+	PhaseFactor                  // lu-factor: LU refresh (dense Factor / sparse Refactor)
+	PhaseTriSolve                // tri-solve: forward/back substitution per Newton iter
+	PhaseSolve                   // newton-solve: the solver proper (minus the above)
+	PhaseMeasure                 // measure: waveform/metric extraction
+	PhaseDeviceEval              // device-eval: the MOSFET evaluations of an assembly
 	NumPhases
 )
 
@@ -32,6 +34,7 @@ var phaseNames = [NumPhases]string{
 	"tri-solve",
 	"newton-solve",
 	"measure",
+	"device-eval",
 }
 
 // String returns the phase's metric-name segment.

@@ -135,14 +135,15 @@ func TestScopeStackOverflowIsSafe(t *testing.T) {
 
 func TestPhaseString(t *testing.T) {
 	want := map[Phase]string{
-		PhaseDraw:     "sample-draw",
-		PhaseRestamp:  "re-stamp",
-		PhaseAssemble: "assemble-J",
-		PhaseFactor:   "lu-factor",
-		PhaseTriSolve: "tri-solve",
-		PhaseSolve:    "newton-solve",
-		PhaseMeasure:  "measure",
-		Phase(99):     "unknown",
+		PhaseDraw:       "sample-draw",
+		PhaseRestamp:    "re-stamp",
+		PhaseAssemble:   "assemble-J",
+		PhaseFactor:     "lu-factor",
+		PhaseTriSolve:   "tri-solve",
+		PhaseSolve:      "newton-solve",
+		PhaseMeasure:    "measure",
+		PhaseDeviceEval: "device-eval",
+		Phase(99):       "unknown",
 	}
 	for p, s := range want {
 		if p.String() != s {

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"vstat/internal/device"
+	"vstat/internal/obs"
 )
 
 // Device bypass (SPICE3's BYPASS; DESIGN.md §6): an assembly reuses a
@@ -80,15 +81,24 @@ func (e *bypassEntry) keep(v *[4]float64) {
 	}
 }
 
-// clearBypass sizes the bypass cache to the circuit's MOSFETs and empties
-// every entry.
+// clearBypass sizes the bypass cache and the evaluation step's scratch to
+// the circuit's MOSFETs and empties every entry.
 func (c *Circuit) clearBypass() {
 	if len(c.bypass) != len(c.mos) {
 		c.bypass = make([]bypassEntry, len(c.mos))
+		c.evCache = make([]device.Eval, len(c.mos))
+		c.pend = make([]pending, 0, len(c.mos))
 	}
 	for i := range c.bypass {
 		c.bypass[i].v = emptyPoint
 	}
+}
+
+// pending is a MOSFET that the evaluation step evaluates: its index and
+// terminal voltages.
+type pending struct {
+	i int
+	v [4]float64
 }
 
 // mosEval is the one decision point for every MOSFET evaluation an
@@ -98,33 +108,91 @@ func (c *Circuit) clearBypass() {
 // four terminal voltages equal the point bit for bit, and then returns the
 // entry's evaluation unchanged: adding zero first-order terms could flip
 // the sign of a zero, and a model is a pure function, so an exact hit
-// equals a fresh evaluation. Served evaluations count in BypassedEvals.
-// Otherwise the model is called. A full evaluation (full set) writes its
-// bundle to the entry and makes it the new point; values-only (chord)
-// assemblies read the cache but never write it. Either way, with full set
-// the entry holds afterwards the bundle whose GId and CQ the Jacobian pass
-// stamps, and a written bundle leaves no factorization current.
-func (c *Circuit) mosEval(i int, x []float64, full, tran bool) device.Eval {
-	if len(c.bypass) != len(c.mos) {
-		c.clearBypass()
-	}
+// equals a fresh evaluation. A served evaluation goes to evCache[i] and
+// counts in BypassedEvals. Otherwise the device joins c.pend, which
+// evalPending then evaluates, and counts in ModelEvals. Deciding never
+// reads another device's evaluation, so all decisions can precede the
+// evaluations.
+func (c *Circuit) mosEval(i int, x []float64, tran bool) {
 	m, e := &c.mos[i], &c.bypass[i]
 	v := [4]float64{nv(x, m.d), nv(x, m.g), nv(x, m.s), nv(x, m.b)}
 	if tran {
 		if ev, ok := e.extrapolate(&v); ok {
 			c.stats.BypassedEvals++
-			return ev
+			c.evCache[i] = ev
+			return
 		}
 	} else if e.at(&v) {
 		c.stats.BypassedEvals++
-		return e.dv.Eval
+		c.evCache[i] = e.dv.Eval
+		return
 	}
 	c.stats.ModelEvals++
-	if !full {
-		return m.dev.Eval(v[0], v[1], v[2], v[3])
+	c.pend = append(c.pend, pending{i, v})
+}
+
+// evalPending is the evaluation step: it evaluates every MOSFET in c.pend
+// into evCache and empties c.pend. A full evaluation (full set) writes its
+// bundle to the device's entry in place and makes it the new point;
+// values-only (chord) assemblies never write the cache. Either way, with
+// full set each entry holds afterwards the bundle whose GId and CQ the
+// Jacobian pass stamps, and a written bundle leaves no factorization
+// current. Full evaluations of devices with a grouped path
+// (device.LaneDerivs) go to it in runs of up to device.LaneWidth, in
+// c.pend's order; a lone one takes the same call with one lane. The step
+// is the device-eval phase.
+func (c *Circuit) evalPending(full bool) {
+	pend := c.pend
+	if len(pend) == 0 {
+		return
 	}
-	e.dv = device.EvalDerivs(m.dev, v[0], v[1], v[2], v[3])
-	e.keep(&v)
-	c.spCurrent = false
-	return e.dv.Eval
+	c.obsScope.Enter(obs.PhaseDeviceEval)
+	if !full {
+		for _, p := range pend {
+			c.evCache[p.i] = c.mos[p.i].dev.Eval(p.v[0], p.v[1], p.v[2], p.v[3])
+		}
+	} else {
+		c.spCurrent = false
+		for k, n := 0, 0; k < len(pend); k += n {
+			p := &pend[k]
+			if m := &c.mos[p.i]; m.lanes != nil {
+				n = c.evalLanes(pend[k:])
+			} else {
+				c.bypass[p.i].dv = device.EvalDerivs(m.dev, p.v[0], p.v[1], p.v[2], p.v[3])
+				n = 1
+			}
+			for j := k; j < k+n; j++ {
+				c.store(pend[j].i, &pend[j].v)
+			}
+		}
+	}
+	c.pend = pend[:0]
+	c.obsScope.Exit()
+}
+
+// evalLanes evaluates the leading run of pend whose devices have a grouped
+// path, up to device.LaneWidth of them, in one EvalDerivsLanes call that
+// writes each bundle into its device's entry. It returns the run's length.
+// A run never mixes device types, which EvalDerivsLanes requires, because
+// vsmodel.Instance is the one type with a grouped path.
+func (c *Circuit) evalLanes(pend []pending) int {
+	n := 0
+	for ; n < len(pend) && n < device.LaneWidth; n++ {
+		p := &pend[n]
+		lm := c.mos[p.i].lanes
+		if lm == nil {
+			break
+		}
+		c.lanes[n] = device.Lane{Dev: lm, V: p.v, Out: &c.bypass[p.i].dv}
+	}
+	c.lanes[0].Dev.EvalDerivsLanes(c.lanes[:n])
+	return n
+}
+
+// store makes v the point of MOSFET i's freshly written bundle (see
+// bypassEntry.keep) and serves its evaluation to evCache.
+func (c *Circuit) store(i int, v *[4]float64) {
+	e := &c.bypass[i]
+	e.keep(v)
+	c.evCache[i] = e.dv.Eval
 }

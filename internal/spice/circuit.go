@@ -119,6 +119,7 @@ type mosfet struct {
 	name       string
 	d, g, s, b int
 	dev        device.Device
+	lanes      device.LaneDerivs // dev's grouped path, or nil
 }
 
 // Circuit is a netlist under construction plus analysis entry points.
@@ -178,14 +179,19 @@ type Circuit struct {
 	spCurrent bool
 	spKey     jacKey
 
-	// evCache holds per-MOSFET model evaluations from the last transient
-	// assemble (the pre-final-update Newton state), consumed by
-	// updateTranHistory so a converged step never re-evaluates the models.
+	// evCache holds per-MOSFET evaluations from the last assembly (in a
+	// transient, the pre-final-update Newton state), which its residual
+	// pass sums and updateTranHistory consumes, so a converged step never
+	// re-evaluates the models.
 	evCache []device.Eval
 
-	// bypass holds each MOSFET's last full transient evaluation (see
-	// bypass.go).
+	// bypass holds each MOSFET's last full evaluation (see bypass.go).
 	bypass []bypassEntry
+
+	// The evaluation step's scratch (see evalPending): the MOSFETs an
+	// assembly evaluates, and one grouped call's lanes.
+	pend  []pending
+	lanes [device.LaneWidth]device.Lane
 
 	// Transient step scratch (see TransientInto) and reusable integrator
 	// history, so pooled Monte Carlo samples allocate nothing per transient.
@@ -305,7 +311,8 @@ func (c *Circuit) AddMOS(name string, d, g, s, b int, dev device.Device) {
 	c.gen++
 	c.luValid = false
 	c.spReady = false
-	c.mos = append(c.mos, mosfet{name: name, d: d, g: g, s: s, b: b, dev: dev})
+	lanes, _ := dev.(device.LaneDerivs)
+	c.mos = append(c.mos, mosfet{name: name, d: d, g: g, s: s, b: b, dev: dev, lanes: lanes})
 }
 
 // NumMOS returns the number of MOSFET instances, in AddMOS order.
@@ -316,6 +323,7 @@ func (c *Circuit) NumMOS() int { return len(c.mos) }
 // re-stamp path for pooled Monte Carlo: swap parameter cards, not netlists.
 func (c *Circuit) SetMOSDevice(i int, dev device.Device) {
 	c.mos[i].dev = dev
+	c.mos[i].lanes, _ = dev.(device.LaneDerivs)
 	c.gen++
 	c.luValid = false
 	c.spCurrent = false

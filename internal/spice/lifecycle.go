@@ -9,8 +9,8 @@ package spice
 // in dc.go and tran.go). Disarmed circuits pay two predictable branches per
 // iteration and zero allocations; armed circuits add one non-blocking
 // channel poll and, when a wall bound is set, one time.Now() compare.
-// Budget-check time is attributed to the newton-solve phase (no dedicated
-// obs phase: NumPhases is pinned).
+// Budget-check time is attributed to the newton-solve phase: a check costs
+// a channel poll and a compare, too little to time as a phase of its own.
 
 import (
 	"context"

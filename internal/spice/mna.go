@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"vstat/internal/device"
 	"vstat/internal/linalg"
 	"vstat/internal/obs"
 )
@@ -267,20 +266,21 @@ func (c *Circuit) assembleResidual(x, f []float64, ctx *assembleCtx, full bool) 
 	}
 
 	// MOSFETs: DC channel current always; terminal charge currents in
-	// transient. Every evaluation comes from mosEval (bypass.go).
-	// Transient assembles cache the evaluations so the converged step's
-	// history update (updateTranHistory) reuses the last Newton evaluation
-	// instead of re-evaluating every device.
-	cacheEv := ctx.tran != nil
-	if cacheEv && len(c.evCache) != len(c.mos) {
-		c.evCache = make([]device.Eval, len(c.mos))
+	// transient. The pass decides every evaluation (mosEval), evaluates
+	// the ones it did not serve from the bypass cache (evalPending), then
+	// sums them in device order. The evaluations stay in evCache, so the
+	// converged step's history update (updateTranHistory) reuses the last
+	// Newton evaluation instead of re-evaluating every device.
+	if len(c.bypass) != len(c.mos) {
+		c.clearBypass()
 	}
 	for i := range c.mos {
+		c.mosEval(i, x, ctx.tran != nil)
+	}
+	c.evalPending(full)
+	for i := range c.mos {
 		m := &c.mos[i]
-		ev := c.mosEval(i, x, full, cacheEv)
-		if cacheEv {
-			c.evCache[i] = ev
-		}
+		ev := &c.evCache[i]
 		addF(m.d, ev.Id)
 		addF(m.s, -ev.Id)
 		if ctx.tran != nil {
@@ -626,8 +626,9 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 		//
 		// The with-Jacobian assembly is the "assemble-J" observability
 		// phase and the factorization "lu-factor", both carved out of
-		// newton-solve so the device-model and linear-algebra costs are
-		// separately visible.
+		// newton-solve, and the device evaluations of any assembly are
+		// "device-eval" (evalPending), so the device-model and
+		// linear-algebra costs are separately visible.
 		wantJ := !ctx.fast || lu == nil || forceJ || prevDv > 0.2
 		refresh := wantJ
 		var jk jacKey

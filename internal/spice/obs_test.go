@@ -66,10 +66,10 @@ func TestInstrumentedHotPathAllocFreeWhenEnabled(t *testing.T) {
 }
 
 // TestSolverPhaseAttribution: a transient on an instrumented circuit books
-// assemble-J, lu-factor, tri-solve and newton-solve self-time that sums to
-// roughly the wall time of the run, and the assemble/factor/solve phases
-// are nonempty (every transient refreshes the Jacobian at least once and
-// runs at least one triangular solve per step).
+// device-eval, assemble-J, lu-factor, tri-solve and newton-solve self-time
+// that sums to roughly the wall time of the run, and every one of them is
+// nonempty (every transient evaluates its devices, refreshes the Jacobian
+// at least once and runs at least one triangular solve per step).
 func TestSolverPhaseAttribution(t *testing.T) {
 	obs.SetEnabled(true)
 	t.Cleanup(func() { obs.SetEnabled(false) })
@@ -92,6 +92,10 @@ func TestSolverPhaseAttribution(t *testing.T) {
 	factor := snap.Find("mc_phase_lu-factor_ns").Sum
 	tri := snap.Find("mc_phase_tri-solve_ns").Sum
 	solve := snap.Find("mc_phase_newton-solve_ns").Sum
+	devEval := snap.Find("mc_phase_device-eval_ns").Sum
+	if devEval <= 0 {
+		t.Fatal("device-eval phase recorded no time")
+	}
 	if assemble <= 0 {
 		t.Fatal("assemble-J phase recorded no time")
 	}
@@ -104,7 +108,7 @@ func TestSolverPhaseAttribution(t *testing.T) {
 	if solve <= 0 {
 		t.Fatal("newton-solve phase recorded no time")
 	}
-	total := assemble + factor + tri + solve
+	total := devEval + assemble + factor + tri + solve
 	if float64(total) < 0.5*float64(wall) || total > wall+wall/10 {
 		t.Fatalf("phase sum %v vs wall %v: expected the solver phases to cover the run",
 			time.Duration(total), time.Duration(wall))

@@ -1,10 +1,6 @@
 package spice
 
-import (
-	"math"
-
-	"vstat/internal/device"
-)
+import "math"
 
 // TranRecord is a per-step record of a fixed-step transient that a later
 // transient on the same circuit can resume from (TranOpts.Record). Such a
@@ -134,8 +130,9 @@ func (r *TranRecord) sourcesMatch(k int, t float64) bool {
 // into res, the predictor's rows k, k−1 and k−2 into x, xPrev and xPrev2,
 // the charge history into ts, and the bypass cache, which TransientInto
 // has emptied, by one full evaluation (counted in ModelEvals) at each
-// recorded point. The record keeps only those k steps; the transient
-// appends its own after them.
+// recorded point, made by the assemblies' evaluation step (evalPending).
+// The record keeps only those k steps; the transient appends its own after
+// them.
 func (r *TranRecord) restore(k int, step float64, x, xPrev, xPrev2 []float64, ts *tranState, res *TranResult) {
 	for j := 0; j <= k; j++ {
 		res.snap(float64(j)*step, r.row(j))
@@ -151,14 +148,13 @@ func (r *TranRecord) restore(k int, step float64, x, xPrev, xPrev2 []float64, ts
 	copy(ts.qPrevCap, r.qCap[k*r.nc:])
 	copy(ts.iPrevCap, r.iCap[k*r.nc:])
 	c := r.c
-	c.spCurrent = false // the bundles are rebuilt below
 	for i, p := range r.pts[k*r.nm : (k+1)*r.nm] {
-		if e := &c.bypass[i]; !math.IsNaN(p[0]) {
-			e.dv = device.EvalDerivs(c.mos[i].dev, p[0], p[1], p[2], p[3])
+		if !math.IsNaN(p[0]) {
 			c.stats.ModelEvals++
-			e.keep(&p)
+			c.pend = append(c.pend, pending{i, p})
 		}
 	}
+	c.evalPending(true)
 	ts.firstBE = false
 	r.done = k
 }

@@ -5,7 +5,53 @@ import "vstat/internal/device"
 // EvalDerivs4 implements the fast native-derivative path used by the
 // circuit simulator: instead of re-solving the series-resistance implicit
 // equation once per perturbed terminal (4 full solves), it solves once and
-// derives all terminal sensitivities by the implicit function theorem.
+// derives all terminal sensitivities by the implicit function theorem
+// (see bundle). The bundle is built in the result and permuted in place:
+// at 200 bytes, every copy of it shows in a profile.
+func (in *Instance) EvalDerivs4(vd, vg, vs, vb float64) (der device.Derivs) {
+	in.derivsInto(&der, vd, vg, vs, vb)
+	return
+}
+
+// derivsInto is EvalDerivs4 writing into the caller's bundle: one series
+// solve, then the bundle.
+func (in *Instance) derivsInto(der *device.Derivs, vd, vg, vs, vb float64) {
+	if in.weff <= 0 {
+		*der = device.Derivs{}
+		return
+	}
+	b := in.orient(vd, vg, vs, vb)
+	var st seriesState
+	in.solveSeriesD(b.vgs, b.vds, b.vbs, &st)
+	in.bundle(der, &st, &b)
+}
+
+// bias is a terminal bias mapped onto the problem the kernel solves: the
+// n-equivalent, source-referred voltages with Vds ≥ 0, and whether drain
+// and source were swapped to make it so.
+type bias struct {
+	vgs, vds, vbs, vgd float64
+	swap               bool
+}
+
+// orient maps terminal voltages onto the n-equivalent, source-referred
+// problem: PMOS onto NMOS, and drain with source for negative Vds.
+func (in *Instance) orient(vd, vg, vs, vb float64) (b bias) {
+	pol := in.p.TypeK.Polarity()
+	nvd, nvg, nvs, nvb := pol*vd, pol*vg, pol*vs, pol*vb
+	if nvd < nvs {
+		nvd, nvs = nvs, nvd
+		b.swap = true
+	}
+	b.vgs = nvg - nvs
+	b.vds = nvd - nvs
+	b.vbs = nvb - nvs
+	b.vgd = nvg - nvd
+	return
+}
+
+// bundle writes into der the derivative bundle of the converged series
+// solve st at bias b, for an instance with a channel (Weff > 0).
 //
 // With F the core current at the internal bias u = (vgsi, vdsi, vbsi) and
 // the solved current I satisfying I = F(u(I, v)), the terminal derivative
@@ -17,31 +63,12 @@ import "vstat/internal/device"
 // and the charge derivatives chain through the internal-voltage shifts the
 // current feedback induces. The core partials come out of the converged
 // series solve analytically, so a full derivative bundle costs no core
-// evaluations beyond the solve itself. The bundle is built in the result
-// and permuted in place: at 200 bytes, every copy of it shows in a profile.
-func (in *Instance) EvalDerivs4(vd, vg, vs, vb float64) (der device.Derivs) {
-	pol := in.p.TypeK.Polarity()
-	nvd, nvg, nvs, nvb := pol*vd, pol*vg, pol*vs, pol*vb
-	swap := false
-	if nvd < nvs {
-		nvd, nvs = nvs, nvd
-		swap = true
-	}
-	vgs := nvg - nvs
-	vds := nvd - nvs
-	vbs := nvb - nvs
-	vgd := nvg - nvd
-
+// evaluations beyond the solve itself.
+func (in *Instance) bundle(der *device.Derivs, st *seriesState, b *bias) {
 	w := in.weff
-	if w <= 0 {
-		return
-	}
 	rs, rd := in.rs, in.rd
+	vgs, vgd := b.vgs, b.vgd
 
-	// Solve once for the operating state; the converged evaluation carries
-	// the analytic core partials at the internal bias.
-	var st seriesState
-	in.solveSeriesD(vgs, vds, vbs, &st)
 	id, qixo, fsat := st.id, st.co.q, st.co.s
 	Fg := w * st.co.fG
 	Fd := w * st.co.fD
@@ -112,25 +139,23 @@ func (in *Instance) EvalDerivs4(vd, vg, vs, vb float64) (der device.Derivs) {
 		der.CQ[3][t] = 0
 	}
 
-	if swap {
-		swapDerivs(&der)
+	if b.swap {
+		swapDerivs(der)
 	}
-	if pol < 0 {
+	if in.p.TypeK == device.PMOS {
 		der.Id = -der.Id
 		der.Q = der.Q.Neg()
 		// Derivatives are invariant under simultaneous sign flips of
 		// currents/charges and voltages.
 	}
-	return
 }
 
-// EvalDerivs4 implements device.NativeDerivs through a temporary Instance.
-// The named result takes the bundle in one copy; a bare return of the call
-// copies it three times.
+// EvalDerivs4 implements device.NativeDerivs through a temporary Instance,
+// which writes the bundle into the named result.
 func (p *Params) EvalDerivs4(vd, vg, vs, vb float64) (der device.Derivs) {
 	var in Instance
 	in.bind(p)
-	der = in.EvalDerivs4(vd, vg, vs, vb)
+	in.derivsInto(&der, vd, vg, vs, vb)
 	return
 }
 

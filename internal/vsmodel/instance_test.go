@@ -27,16 +27,35 @@ func sameDerivs(a, b device.Derivs) bool {
 	return true
 }
 
+// instanceCase maps FuzzInstanceMatchesCard's kind and fractions onto a
+// card and terminal voltages: Vd from −0.45 to 1.35 V, Vg from −0.2 to
+// 1 V, Vs from 0 to 0.9 V and Vb from −0.3 to 0 V. Kind bit 0 makes the card
+// PMOS, bit 1 gives it an effective width between −3 nm and 0, and bit 2
+// sets Vd = Vs.
+func instanceCase(kind uint8, u *[10]float64) (p Params, v [4]float64) {
+	p = mismatchCard(kind&1 != 0, u[0], u[1], u[2], u[3], u[4], u[5])
+	if kind&2 != 0 {
+		p.DWg = p.W + 3e-9*u[3]
+	}
+	v = [4]float64{-0.45 + 1.8*u[6], -0.2 + 1.2*u[7], 0.9 * u[8], -0.3 * u[9]}
+	if kind&4 != 0 {
+		v[0] = v[2]
+	}
+	return p, v
+}
+
 // FuzzInstanceMatchesCard checks that an instance bound from a card
 // evaluates to the bits of the card's own Eval and EvalDerivs4, over ±6σ
-// mismatched NMOS and PMOS cards (mismatchCard) and terminal voltages Vd
-// from −0.45 to 1.35 V, Vg from −0.2 to 1 V, Vs from 0 to 0.9 V and Vb from
-// −0.3 to 0 V, so Vds < 0 is covered. Kind bit 0 makes the card PMOS, bit 1
-// gives it an effective width between −3 nm and 0, and bit 2 sets Vd = Vs.
+// mismatched NMOS and PMOS cards (mismatchCard) and terminal voltages that
+// cover Vds < 0 (instanceCase). It then evaluates the instance in a group
+// of two to four (kind bits 3 and 4) through the lane path, beside partners
+// that rotate its fractions and advance its kind: every lane's bundle must
+// be its card's EvalDerivs4 bit for bit, and its series solve must make as
+// many core evaluations as the one-device solve.
 func FuzzInstanceMatchesCard(f *testing.F) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 1000; i++ {
-		f.Add(uint8(i%8), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(),
+		f.Add(uint8(i%24), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(),
 			rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, w, dvt, dl, dw, dmu, dcinv, vd, vg, vs, vb float64) {
@@ -48,14 +67,8 @@ func FuzzInstanceMatchesCard(f *testing.F) {
 			}
 			u[i] = v
 		}
-		p := mismatchCard(kind&1 != 0, u[0], u[1], u[2], u[3], u[4], u[5])
-		if kind&2 != 0 {
-			p.DWg = p.W + 3e-9*u[3]
-		}
-		vd, vg, vs, vb = -0.45+1.8*u[6], -0.2+1.2*u[7], 0.9*u[8], -0.3*u[9]
-		if kind&4 != 0 {
-			vd = vs
-		}
+		p, v := instanceCase(kind, &u)
+		vd, vg, vs, vb = v[0], v[1], v[2], v[3]
 		in := p.Bind()
 		if got, want := in.Eval(vd, vg, vs, vb), p.Eval(vd, vg, vs, vb); !sameBits(got, want) {
 			t.Fatalf("%v card (kind %d, %v) at (%g, %g, %g, %g): instance Eval %+v, card %+v",
@@ -65,7 +78,51 @@ func FuzzInstanceMatchesCard(f *testing.F) {
 			t.Fatalf("%v card (kind %d, %v) at (%g, %g, %g, %g): instance EvalDerivs4 %+v, card %+v",
 				p.TypeK, kind, u[:6], vd, vg, vs, vb, got, want)
 		}
+		checkGroup(t, kind, u, 2+int(kind>>3)%3)
 	})
+}
+
+// checkGroup evaluates the case (kind, u) and n−1 partners through one
+// grouped evaluation: lane 0 is the case, and lane j rotates its ten
+// fractions by j places and advances its kind by j. Every lane's bundle
+// must equal its card's EvalDerivs4, and every lane with a channel must
+// count the core evaluations of its one-device series solve.
+func checkGroup(t *testing.T, kind uint8, u [10]float64, n int) {
+	t.Helper()
+	var cards [device.LaneWidth]Params
+	var lanes [device.LaneWidth]device.Lane
+	var out [device.LaneWidth]device.Derivs
+	for j := 0; j < n; j++ {
+		var uj [10]float64
+		for i := range uj {
+			uj[i] = u[(i+j)%10]
+		}
+		p, v := instanceCase(kind+uint8(j), &uj)
+		cards[j] = p
+		lanes[j] = device.Lane{Dev: p.Bind(), V: v, Out: &out[j]}
+	}
+	var g laneGroup
+	g.eval(lanes[:n])
+	solved := 0
+	for j, ln := range lanes[:n] {
+		v := ln.V
+		if want := cards[j].EvalDerivs4(v[0], v[1], v[2], v[3]); !sameDerivs(out[j], want) {
+			t.Fatalf("lane %d of %d, %v card %+v at %v: grouped bundle %+v, card %+v",
+				j, n, cards[j].TypeK, cards[j], v, out[j], want)
+		}
+		in := ln.Dev.(*Instance)
+		if in.weff <= 0 {
+			continue
+		}
+		b := in.orient(v[0], v[1], v[2], v[3])
+		var st seriesState
+		in.solveSeriesD(b.vgs, b.vds, b.vbs, &st)
+		if got := g.l[solved].st.evals; got != st.evals {
+			t.Fatalf("lane %d of %d, %v card %+v at %v: %d core evaluations grouped, %d alone",
+				j, n, cards[j].TypeK, cards[j], v, got, st.evals)
+		}
+		solved++
+	}
 }
 
 // perturbCard changes every float field of a card, nested ones included.

@@ -1,6 +1,7 @@
 package vsmodel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -135,14 +136,49 @@ func (c coreCase) bias() (vgsi, vdsi, vbsi float64) {
 	return -4.5 + 9*c.vgs, vdsi, -1 + 2.2*c.vbs
 }
 
+// partners returns the n cases that share the lane kernel with c in
+// FuzzCoreOverlap: partner j rotates c's nine fractions by j+1 places and
+// advances its kind by j+1.
+func (c coreCase) partners(n int) []coreCase {
+	u := [9]float64{c.w, c.dvt, c.dl, c.dw, c.dmu, c.dcinv, c.vgs, c.vds, c.vbs}
+	ps := make([]coreCase, n)
+	for j := range ps {
+		r := func(i int) float64 { return u[(i+j+1)%9] }
+		ps[j] = coreCase{kind: (c.kind + uint8(j) + 1) & 7,
+			w: r(0), dvt: r(1), dl: r(2), dw: r(3), dmu: r(4), dcinv: r(5), vgs: r(6), vds: r(7), vbs: r(8)}
+	}
+	return ps
+}
+
+// laneCore runs the cases through one round of the lane kernel, each in its
+// own lane at its bias, and returns the lanes' outputs.
+func laneCore(cs []coreCase) []coreOut {
+	var g laneGroup
+	for k, c := range cs {
+		p := c.card()
+		l := &g.l[k]
+		l.in = p.Bind()
+		l.vgsi, l.vdsi, l.vbsi = c.bias()
+		g.live[k] = k
+	}
+	g.n, g.nLive = len(cs), len(cs)
+	g.core()
+	out := make([]coreOut, len(cs))
+	for k := range out {
+		out[k] = g.l[k].st.co
+	}
+	return out
+}
+
 // coreSeeds is FuzzCoreOverlap's seed corpus: 2000 cases over all eight
-// kinds.
+// kinds. A seed's kind also carries, in bits 3 and 4, how many partners
+// share the lane kernel with it (one to three).
 func coreSeeds() []coreCase {
 	rng := rand.New(rand.NewSource(22))
 	cs := make([]coreCase, 2000)
 	for i := range cs {
 		cs[i] = coreCase{
-			kind: uint8(i % 8),
+			kind: uint8(i % 24),
 			w:    rng.Float64(), dvt: rng.Float64(), dl: rng.Float64(), dw: rng.Float64(),
 			dmu: rng.Float64(), dcinv: rng.Float64(),
 			vgs: rng.Float64(), vds: rng.Float64(), vbs: rng.Float64(),
@@ -181,8 +217,11 @@ func coreBranches(p *Params, vdsi, vbsi float64, co *coreOut) []string {
 
 // FuzzCoreOverlap holds the kernel, which binds its bias-independent
 // quantities and interleaves its softplus and Fsat chains, to coreSerial,
-// which does neither: all 12 coreOut fields must be the same bits. Before
-// fuzzing it checks that the seed corpus reaches every branch.
+// which does neither: all 12 coreOut fields must be the same bits. It holds
+// the lane kernel, which runs one to three partner cases (kind bits 3 and
+// 4) beside the case, stage by stage, to coreSerial the same way, in every
+// lane. Before fuzzing it checks that the seed corpus reaches every
+// branch.
 func FuzzCoreOverlap(f *testing.F) {
 	seeds := coreSeeds()
 	hits := map[string]int{}
@@ -207,6 +246,7 @@ func FuzzCoreOverlap(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, w, dvt, dl, dw, dmu, dcinv, vgs, vds, vbs float64) {
 		c := coreCase{kind: kind & 7}
+		nPartners := 1 + int(kind>>3)%3
 		for _, x := range []struct {
 			dst *float64
 			v   float64
@@ -218,20 +258,33 @@ func FuzzCoreOverlap(f *testing.F) {
 			}
 			*x.dst = u
 		}
+		var got coreOut
 		p := c.card()
 		vgsi, vdsi, vbsi := c.bias()
-		var got, want coreOut
 		p.Bind().coreBiasPreD(vgsi, vdsi, vbsi, &got)
-		leff := p.Leff()
-		p.coreSerial(vgsi, vdsi, vbsi, p.Delta(leff), p.Vxo*leff/p.Mu, &want)
-		g, w2 := got.fields(), want.fields()
-		for i := range g {
-			if math.Float64bits(g[i]) != math.Float64bits(w2[i]) {
-				t.Fatalf("%+v (vgsi %g, vdsi %g, vbsi %g): field %d is %g, serial kernel %g",
-					c, vgsi, vdsi, vbsi, i, g[i], w2[i])
-			}
+		checkSerial(t, "kernel", c, &got)
+		cs := append([]coreCase{c}, c.partners(nPartners)...)
+		for k, co := range laneCore(cs) {
+			checkSerial(t, fmt.Sprintf("lane %d of %d", k, len(cs)), cs[k], &co)
 		}
 	})
+}
+
+// checkSerial fails t unless co has the bits of coreSerial at case c.
+func checkSerial(t *testing.T, what string, c coreCase, co *coreOut) {
+	t.Helper()
+	p := c.card()
+	vgsi, vdsi, vbsi := c.bias()
+	var want coreOut
+	leff := p.Leff()
+	p.coreSerial(vgsi, vdsi, vbsi, p.Delta(leff), p.Vxo*leff/p.Mu, &want)
+	g, w := co.fields(), want.fields()
+	for i := range g {
+		if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+			t.Fatalf("%s, %+v (vgsi %g, vdsi %g, vbsi %g): field %d is %g, serial kernel %g",
+				what, c, vgsi, vdsi, vbsi, i, g[i], w[i])
+		}
+	}
 }
 
 // fields lists the 12 coreOut fields in declaration order.

@@ -517,29 +517,17 @@ func (in *Instance) Eval(vd, vg, vs, vb float64) device.Eval {
 	if in.weff <= 0 {
 		return device.Eval{}
 	}
-	pol := in.p.TypeK.Polarity()
-	// n-equivalent absolute voltages.
-	nvd, nvg, nvs, nvb := pol*vd, pol*vg, pol*vs, pol*vb
-
-	swap := false
-	if nvd < nvs {
-		nvd, nvs = nvs, nvd
-		swap = true
-	}
-	vgs := nvg - nvs
-	vds := nvd - nvs
-	vbs := nvb - nvs
-
+	b := in.orient(vd, vg, vs, vb)
 	var st seriesState
-	in.solveSeriesD(vgs, vds, vbs, &st)
+	in.solveSeriesD(b.vgs, b.vds, b.vbs, &st)
 	id := st.id
-	q := in.charges(vgs, nvg-nvd, st.co.q, st.co.s)
+	q := in.charges(b.vgs, b.vgd, st.co.q, st.co.s)
 
-	if swap {
+	if b.swap {
 		id = -id
 		q = q.SwapDS()
 	}
-	if pol < 0 {
+	if in.p.TypeK == device.PMOS {
 		id = -id
 		q = q.Neg()
 	}
