@@ -141,28 +141,39 @@ type benchFile struct {
 
 // modelEvalRecord is one row of the raw VS-model microbench: the cost of
 // one full derivative-bundle evaluation (current, charges, and every
-// first-order derivative, internal series-resistance solve included),
-// timed through the EvalDerivs4 entry point.
+// first-order derivative, internal series-resistance solve included).
+// Lanes 1 times the one-device EvalDerivs4 entry point; lanes 4 times
+// EvalDerivsLanes on groups of four devices, the grouped path circuit
+// assemblies take, and NsPerEval is then per bundle.
 type modelEvalRecord struct {
+	Lanes       int     `json:"lanes"`
 	Evals       int64   `json:"evals"`
 	NsPerEval   float64 `json:"ns_per_eval"`
 	EvalsPerSec float64 `json:"evals_per_sec"`
 }
 
 // measureModelEval times nEvals VS derivative-bundle evaluations over a
-// fixed gate/drain bias grid on one Pelgrom-perturbed statistical instance
-// of the 40-nm NMOS card, bound (vsmodel.Instance) as the circuit factories
-// bind every device.
-func measureModelEval(vdd float64, nEvals int) modelEvalRecord {
+// fixed gate/drain bias grid on Pelgrom-perturbed statistical instances of
+// the 40-nm NMOS card, bound (vsmodel.Instance) as the circuit factories
+// bind every device. With lanes 1 one instance evaluates the grid point
+// after point; with lanes up to device.LaneWidth that many instances
+// evaluate consecutive grid points together, one per lane.
+func measureModelEval(vdd float64, nEvals, lanes int) modelEvalRecord {
 	rng := rand.New(rand.NewSource(40613))
 	p := vsmodel.NMOS40(300e-9).WithGeometry(300e-9, 40e-9)
-	nd := p.WithDeltas(device.Deltas{
-		DVT0:  rng.NormFloat64() * 0.03,
-		DL:    rng.NormFloat64() * 2e-9,
-		DW:    rng.NormFloat64() * 10e-9,
-		DMu:   rng.NormFloat64() * 0.002,
-		DCinv: rng.NormFloat64() * 0.0005,
-	}).(device.NativeDerivs)
+	group := make([]device.Lane, lanes)
+	bundles := make([]device.Derivs, lanes)
+	for k := range group {
+		group[k].Dev = p.WithDeltas(device.Deltas{
+			DVT0:  rng.NormFloat64() * 0.03,
+			DL:    rng.NormFloat64() * 2e-9,
+			DW:    rng.NormFloat64() * 10e-9,
+			DMu:   rng.NormFloat64() * 0.002,
+			DCinv: rng.NormFloat64() * 0.0005,
+		}).(device.LaneDerivs)
+		group[k].Out = &bundles[k]
+	}
+	nd := group[0].Dev
 	const gridN = 16 // 16x16 gate/drain plane, vb = 0
 	bias := make([][2]float64, 0, gridN*gridN)
 	for i := 0; i < gridN; i++ {
@@ -175,10 +186,21 @@ func measureModelEval(vdd float64, nEvals int) modelEvalRecord {
 	}
 	var sink float64
 	run := func(n int) {
-		for e := 0; e < n; e++ {
-			b := bias[e%len(bias)]
-			der := nd.EvalDerivs4(b[1], b[0], 0, 0)
-			sink += der.Id
+		if lanes == 1 {
+			for e := 0; e < n; e++ {
+				b := bias[e%len(bias)]
+				der := nd.EvalDerivs4(b[1], b[0], 0, 0)
+				sink += der.Id
+			}
+			return
+		}
+		for e := 0; e < n; e += lanes {
+			for k := range group {
+				b := bias[(e+k)%len(bias)]
+				group[k].V = [4]float64{b[1], b[0], 0, 0}
+			}
+			nd.EvalDerivsLanes(group)
+			sink += bundles[0].Id
 		}
 	}
 	run(len(bias)) // warm up (branch predictors)
@@ -186,6 +208,7 @@ func measureModelEval(vdd float64, nEvals int) modelEvalRecord {
 	t0 := time.Now()
 	run(nEvals)
 	rec := modelEvalRecord{
+		Lanes:     lanes,
 		Evals:     int64(nEvals),
 		NsPerEval: float64(time.Since(t0).Nanoseconds()) / float64(nEvals),
 	}
@@ -1019,10 +1042,12 @@ func main() {
 	if *modelB {
 		// Raw model microbench: the derivative bundle, so BENCH_mc.json
 		// records the VS evaluation cost independent of solver and circuit
-		// effects.
-		rec := measureModelEval(*vdd, 200_000)
-		fmt.Printf("model-eval  %8.1f ns/eval  %10.0f evals/sec\n", rec.NsPerEval, rec.EvalsPerSec)
-		doc.ModelEval = append(doc.ModelEval, rec)
+		// effects, one device at a time and in groups of four.
+		for _, lanes := range []int{1, device.LaneWidth} {
+			rec := measureModelEval(*vdd, 200_000, lanes)
+			fmt.Printf("model-eval  lanes %d  %8.1f ns/eval  %10.0f evals/sec\n", lanes, rec.NsPerEval, rec.EvalsPerSec)
+			doc.ModelEval = append(doc.ModelEval, rec)
+		}
 	}
 
 	if *lifecycleB {
