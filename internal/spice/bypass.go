@@ -132,7 +132,9 @@ func (c *Circuit) mosEval(i int, x []float64, tran bool) {
 }
 
 // evalPending is the evaluation step: it evaluates every MOSFET in c.pend
-// into evCache and empties c.pend. A full evaluation (full set) writes its
+// into evCache. Its callers empty c.pend before they queue, so a device
+// panic that leaves the list half evaluated cannot replay stale
+// evaluations into the next assembly. A full evaluation (full set) writes its
 // bundle to the device's entry in place and makes it the new point;
 // values-only (chord) assemblies never write the cache. Either way, with
 // full set each entry holds afterwards the bundle whose GId and CQ the
@@ -166,7 +168,6 @@ func (c *Circuit) evalPending(full bool) {
 			}
 		}
 	}
-	c.pend = pend[:0]
 	c.obsScope.Exit()
 }
 

@@ -181,3 +181,68 @@ func TestBypassCacheLifetime(t *testing.T) {
 			once, nan.Calls())
 	}
 }
+
+// panicky is a device whose evaluations panic while armed.
+type panicky struct {
+	device.Device
+	armed bool
+}
+
+func (d *panicky) Eval(vd, vg, vs, vb float64) device.Eval {
+	if d.armed {
+		panic("armed device evaluated")
+	}
+	return d.Device.Eval(vd, vg, vs, vb)
+}
+
+// A device panic inside the evaluation step, which the Monte Carlo engine
+// recovers from before it reuses the circuit, leaves nothing queued: an
+// assembly after it, whose devices the bypass all serves, sums the same
+// residual as a twin that never panicked, and its entries keep their
+// points.
+func TestPanickedAssemblyLeavesNothingQueued(t *testing.T) {
+	build := func() (*Circuit, *panicky) {
+		c, _ := testInverter()
+		n := c.mos[0].dev.(*vsmodel.Params)
+		pd := &panicky{Device: n.Bind()}
+		c.SetMOSDevice(0, pd)
+		c.SetMOSDevice(1, c.mos[1].dev.(*vsmodel.Params).Bind())
+		return c, pd
+	}
+	c, pd := build()
+	twin, _ := build()
+	n := c.unknowns()
+	x1, x2 := make([]float64, n), make([]float64, n)
+	for i := range x1 {
+		x1[i] = 0.3 + 0.1*float64(i)
+		x2[i] = 0.2 + 0.05*float64(i)
+	}
+	f, fTwin := make([]float64, n), make([]float64, n)
+	ctx := &assembleCtx{srcScale: 1}
+	c.assembleResidual(x1, f, ctx, true)
+	twin.assembleResidual(x1, fTwin, ctx, true)
+
+	pd.armed = true
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the armed device did not panic")
+			}
+		}()
+		c.assembleResidual(x2, f, ctx, true)
+	}()
+	pd.armed = false
+
+	c.assembleResidual(x1, f, ctx, true)
+	twin.assembleResidual(x1, fTwin, ctx, true)
+	for i := range f {
+		if math.Float64bits(f[i]) != math.Float64bits(fTwin[i]) {
+			t.Fatalf("residual row %d after the panic is %g, twin %g", i, f[i], fTwin[i])
+		}
+	}
+	for i := range c.bypass {
+		if c.bypass[i].v != twin.bypass[i].v {
+			t.Fatalf("MOSFET %d's bypass point is %v after the panic, twin %v", i, c.bypass[i].v, twin.bypass[i].v)
+		}
+	}
+}

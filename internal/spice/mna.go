@@ -274,6 +274,7 @@ func (c *Circuit) assembleResidual(x, f []float64, ctx *assembleCtx, full bool) 
 	if len(c.bypass) != len(c.mos) {
 		c.clearBypass()
 	}
+	c.pend = c.pend[:0]
 	for i := range c.mos {
 		c.mosEval(i, x, ctx.tran != nil)
 	}

@@ -148,6 +148,7 @@ func (r *TranRecord) restore(k int, step float64, x, xPrev, xPrev2 []float64, ts
 	copy(ts.qPrevCap, r.qCap[k*r.nc:])
 	copy(ts.iPrevCap, r.iCap[k*r.nc:])
 	c := r.c
+	c.pend = c.pend[:0]
 	for i, p := range r.pts[k*r.nm : (k+1)*r.nm] {
 		if !math.IsNaN(p[0]) {
 			c.stats.ModelEvals++
