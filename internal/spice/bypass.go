@@ -105,7 +105,7 @@ type pending struct {
 // assembly makes: MOSFET i's evaluation at x. A transient assembly (tran
 // set) serves a device within bypassTol of its entry's point from the
 // entry, moved to first order. Any other assembly serves it only when all
-// four terminal voltages equal the point bit for bit, and then returns the
+// four terminal voltages equal the point bit for bit, and then serves the
 // entry's evaluation unchanged: adding zero first-order terms could flip
 // the sign of a zero, and a model is a pure function, so an exact hit
 // equals a fresh evaluation. A served evaluation goes to evCache[i] and
@@ -134,8 +134,8 @@ func (c *Circuit) mosEval(i int, x []float64, tran bool) {
 // evalPending is the evaluation step: it evaluates every MOSFET in c.pend
 // into evCache. Its callers empty c.pend before they queue, so a device
 // panic that leaves the list half evaluated cannot replay stale
-// evaluations into the next assembly. A full evaluation (full set) writes its
-// bundle to the device's entry in place and makes it the new point;
+// evaluations into the next assembly. A full evaluation (full set) writes
+// its bundle to the device's entry in place and makes it the new point;
 // values-only (chord) assemblies never write the cache. Either way, with
 // full set each entry holds afterwards the bundle whose GId and CQ the
 // Jacobian pass stamps, and a written bundle leaves no factorization

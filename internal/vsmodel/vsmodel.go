@@ -169,7 +169,7 @@ func (p Params) WithGeometry(w, l float64) Params {
 // kernel's values do not depend on where they were computed. The card is
 // a private copy: nothing can change an Instance once it is made. The
 // circuit factories return instances; the mutable Params evaluates through
-// a temporary one, so both run one kernel.
+// a temporary one, so both run the same code.
 type Instance struct {
 	p Params
 
