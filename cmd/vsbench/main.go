@@ -142,8 +142,8 @@ type benchFile struct {
 // modelEvalRecord is one row of the raw VS-model microbench: the cost of
 // one full derivative-bundle evaluation (current, charges, and every
 // first-order derivative, internal series-resistance solve included).
-// Lanes 1 times the one-device EvalDerivs4 entry point; lanes 4 times
-// EvalDerivsLanes on groups of four devices, the grouped path circuit
+// Lanes 1 times one device through EvalDerivs4, a group of one; lanes 4
+// times EvalDerivsLanes on groups of four devices, the grouped path circuit
 // assemblies take, and NsPerEval is then per bundle.
 type modelEvalRecord struct {
 	Lanes       int     `json:"lanes"`

@@ -14,16 +14,16 @@ func (in *Instance) EvalDerivs4(vd, vg, vs, vb float64) (der device.Derivs) {
 }
 
 // derivsInto is EvalDerivs4 writing into the caller's bundle: one series
-// solve, then the bundle.
+// solve, a group of one, then the bundle.
 func (in *Instance) derivsInto(der *device.Derivs, vd, vg, vs, vb float64) {
 	if in.weff <= 0 {
 		*der = device.Derivs{}
 		return
 	}
-	b := in.orient(vd, vg, vs, vb)
-	var st seriesState
-	in.solveSeriesD(b.vgs, b.vds, b.vbs, &st)
-	in.bundle(der, &st, &b)
+	var ls [1]laneSolve
+	ls[0].in, ls[0].b = in, in.orient(vd, vg, vs, vb) // not through a pointer, which would make in escape
+	solveLanes(ls[:])
+	in.bundle(der, &ls[0].st, &ls[0].b)
 }
 
 // bias is a terminal bias mapped onto the problem the kernel solves: the

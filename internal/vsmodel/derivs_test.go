@@ -110,7 +110,7 @@ func nearBodyClamp(p *Params, vd, vg, vs, vb float64) bool {
 		nvd, nvs = nvs, nvd
 	}
 	var st seriesState
-	p.solveSeriesD(nvg-nvs, nvd-nvs, nvb-nvs, &st)
+	p.solve(nvg-nvs, nvd-nvs, nvb-nvs, &st)
 	vbsi := nvb - nvs - st.id*p.Rs0/p.Weff()
 	return math.Abs(vbsi-(p.PhiB-0.05)) < 0.01
 }

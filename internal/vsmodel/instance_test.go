@@ -47,11 +47,12 @@ func instanceCase(kind uint8, u *[10]float64) (p Params, v [4]float64) {
 // FuzzInstanceMatchesCard checks that an instance bound from a card
 // evaluates to the bits of the card's own Eval and EvalDerivs4, over ±6σ
 // mismatched NMOS and PMOS cards (mismatchCard) and terminal voltages that
-// cover Vds < 0 (instanceCase). It then evaluates the instance in a group
-// of two to four (kind bits 3 and 4) through the lane path, beside partners
-// that rotate its fractions and advance its kind: every lane's bundle must
-// be its card's EvalDerivs4 bit for bit, and its series solve must make as
-// many core evaluations as the one-device solve.
+// cover Vds < 0 (instanceCase), and that its EvalDerivs4, a group of one,
+// is the bundle of the one-device series solve, solveSeriesD. It then
+// evaluates the instance in a group of two to four (kind bits 3 and 4),
+// beside partners that rotate its fractions and advance its kind: every
+// lane's bundle must be its card's EvalDerivs4 bit for bit, and its series
+// state, core-evaluation count included, solveSeriesD's.
 func FuzzInstanceMatchesCard(f *testing.F) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 1000; i++ {
@@ -74,19 +75,53 @@ func FuzzInstanceMatchesCard(f *testing.F) {
 			t.Fatalf("%v card (kind %d, %v) at (%g, %g, %g, %g): instance Eval %+v, card %+v",
 				p.TypeK, kind, u[:6], vd, vg, vs, vb, got, want)
 		}
-		if got, want := in.EvalDerivs4(vd, vg, vs, vb), p.EvalDerivs4(vd, vg, vs, vb); !sameDerivs(got, want) {
+		got := in.EvalDerivs4(vd, vg, vs, vb)
+		if want := p.EvalDerivs4(vd, vg, vs, vb); !sameDerivs(got, want) {
 			t.Fatalf("%v card (kind %d, %v) at (%g, %g, %g, %g): instance EvalDerivs4 %+v, card %+v",
+				p.TypeK, kind, u[:6], vd, vg, vs, vb, got, want)
+		}
+		if want, _ := oracleDerivs(in, v); !sameDerivs(got, want) {
+			t.Fatalf("%v card (kind %d, %v) at (%g, %g, %g, %g): EvalDerivs4 %+v, one-device solve %+v",
 				p.TypeK, kind, u[:6], vd, vg, vs, vb, got, want)
 		}
 		checkGroup(t, kind, u, 2+int(kind>>3)%3)
 	})
 }
 
+// oracleDerivs returns EvalDerivs4's bundle for in at terminal voltages v
+// as the one-device series solve, solveSeriesD, makes it, and the solve's
+// state (zero without a channel).
+func oracleDerivs(in *Instance, v [4]float64) (der device.Derivs, st seriesState) {
+	if in.weff <= 0 {
+		return
+	}
+	b := in.orient(v[0], v[1], v[2], v[3])
+	in.solveSeriesD(b.vgs, b.vds, b.vbs, &st)
+	in.bundle(&der, &st, &b)
+	return
+}
+
+// sameState compares two series states bit for bit, core-evaluation count
+// included.
+func sameState(a, b *seriesState) bool {
+	if a.evals != b.evals || math.Float64bits(a.id) != math.Float64bits(b.id) ||
+		math.Float64bits(a.vdsi) != math.Float64bits(b.vdsi) {
+		return false
+	}
+	x, y := a.co.fields(), b.co.fields()
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // checkGroup evaluates the case (kind, u) and n−1 partners through one
 // grouped evaluation: lane 0 is the case, and lane j rotates its ten
 // fractions by j places and advances its kind by j. Every lane's bundle
-// must equal its card's EvalDerivs4, and every lane with a channel must
-// count the core evaluations of its one-device series solve.
+// must equal its card's EvalDerivs4, and every lane with a channel must end
+// in solveSeriesD's series state.
 func checkGroup(t *testing.T, kind uint8, u [10]float64, n int) {
 	t.Helper()
 	var cards [device.LaneWidth]Params
@@ -101,9 +136,9 @@ func checkGroup(t *testing.T, kind uint8, u [10]float64, n int) {
 		cards[j] = p
 		lanes[j] = device.Lane{Dev: p.Bind(), V: v, Out: &out[j]}
 	}
-	var g laneGroup
-	g.eval(lanes[:n])
-	solved := 0
+	var ls [device.LaneWidth]laneSolve
+	solved := derivsLanes(lanes[:n], &ls)
+	k := 0
 	for j, ln := range lanes[:n] {
 		v := ln.V
 		if want := cards[j].EvalDerivs4(v[0], v[1], v[2], v[3]); !sameDerivs(out[j], want) {
@@ -114,14 +149,14 @@ func checkGroup(t *testing.T, kind uint8, u [10]float64, n int) {
 		if in.weff <= 0 {
 			continue
 		}
-		b := in.orient(v[0], v[1], v[2], v[3])
-		var st seriesState
-		in.solveSeriesD(b.vgs, b.vds, b.vbs, &st)
-		if got := g.l[solved].st.evals; got != st.evals {
-			t.Fatalf("lane %d of %d, %v card %+v at %v: %d core evaluations grouped, %d alone",
-				j, n, cards[j].TypeK, cards[j], v, got, st.evals)
+		if _, st := oracleDerivs(in, v); !sameState(&solved[k].st, &st) {
+			t.Fatalf("lane %d of %d, %v card %+v at %v: grouped series state %+v, one-device solve %+v",
+				j, n, cards[j].TypeK, cards[j], v, solved[k].st, st)
 		}
-		solved++
+		k++
+	}
+	if k != len(solved) {
+		t.Fatalf("%d lanes with a channel, %d solved", k, len(solved))
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 )
 
 // coreSerial is the core kernel's serial form, the oracle FuzzCoreOverlap
-// holds Instance.coreBiasPreD to bit for bit: it takes δ(Leff) and
-// vxo·Leff/µ as arguments, derives every other constant from the card in
-// each call, and runs the softplus chain to the end before the Fsat chain
-// starts.
+// holds the kernel's core to bit for bit: it takes δ(Leff) and vxo·Leff/µ
+// as arguments, derives every other constant from the card in each call,
+// and runs the softplus chain to the end before the Fsat chain starts.
 func (p *Params) coreSerial(vgsi, vdsi, vbsi, delta, vdsats float64, co *coreOut) {
 	phit := p.PhiT
 
@@ -89,6 +88,20 @@ func (p *Params) coreSerial(vgsi, vdsi, vbsi, delta, vdsats float64, co *coreOut
 	co.fB = (co.sB*co.q + co.s*co.qB) * p.Vxo
 }
 
+// logisticD returns the logistic 1/(1+e^{-x}), guarded against overflow,
+// together with its derivative s·(1−s), reusing the single exponential.
+// Only coreSerial calls it; the kernel splits it across its stages.
+func logisticD(x float64) (s, d float64) {
+	if x > 40 {
+		return 1, 0
+	}
+	if x < -40 {
+		return 0, 0
+	}
+	s = 1 / (1 + math.Exp(-x))
+	return s, s * (1 - s)
+}
+
 // softplusD returns ln(1+e^x), guarded against overflow above 40 and
 // reduced to e^x below −40, together with its derivative e^x/(1+e^x),
 // reusing the single exponential. Only coreSerial calls it; the kernel
@@ -150,22 +163,21 @@ func (c coreCase) partners(n int) []coreCase {
 	return ps
 }
 
-// laneCore runs the cases through one round of the lane kernel, each in its
+// laneCore runs the cases through one core round of a group, each in its
 // own lane at its bias, and returns the lanes' outputs.
 func laneCore(cs []coreCase) []coreOut {
-	var g laneGroup
+	var ls [4]laneSolve
+	live := []int{0, 1, 2, 3}[:len(cs)]
 	for k, c := range cs {
 		p := c.card()
-		l := &g.l[k]
+		l := &ls[k]
 		l.in = p.Bind()
 		l.vgsi, l.vdsi, l.vbsi = c.bias()
-		g.live[k] = k
 	}
-	g.n, g.nLive = len(cs), len(cs)
-	g.core()
+	core(ls[:len(cs)], live)
 	out := make([]coreOut, len(cs))
 	for k := range out {
-		out[k] = g.l[k].st.co
+		out[k] = ls[k].st.co
 	}
 	return out
 }
@@ -215,13 +227,13 @@ func coreBranches(p *Params, vdsi, vbsi float64, co *coreOut) []string {
 	return br
 }
 
-// FuzzCoreOverlap holds the kernel, which binds its bias-independent
-// quantities and interleaves its softplus and Fsat chains, to coreSerial,
-// which does neither: all 12 coreOut fields must be the same bits. It holds
-// the lane kernel, which runs one to three partner cases (kind bits 3 and
-// 4) beside the case, stage by stage, to coreSerial the same way, in every
-// lane. Before fuzzing it checks that the seed corpus reaches every
-// branch.
+// FuzzCoreOverlap holds the kernel's core, which binds its
+// bias-independent quantities and interleaves its softplus and Fsat
+// chains, to coreSerial, which does neither: all 12 coreOut fields must be
+// the same bits, for the case alone in a group of one and in every lane of
+// a group where one to three partner cases (kind bits 3 and 4) run beside
+// it, stage by stage. Before fuzzing it checks that the seed corpus reaches
+// every branch.
 func FuzzCoreOverlap(f *testing.F) {
 	seeds := coreSeeds()
 	hits := map[string]int{}
@@ -229,7 +241,7 @@ func FuzzCoreOverlap(f *testing.F) {
 		p := c.card()
 		vgsi, vdsi, vbsi := c.bias()
 		var co coreOut
-		p.Bind().coreBiasPreD(vgsi, vdsi, vbsi, &co)
+		p.Bind().coreAt(vgsi, vdsi, vbsi, &co)
 		for _, b := range coreBranches(&p, vdsi, vbsi, &co) {
 			hits[b]++
 		}
@@ -261,8 +273,8 @@ func FuzzCoreOverlap(f *testing.F) {
 		var got coreOut
 		p := c.card()
 		vgsi, vdsi, vbsi := c.bias()
-		p.Bind().coreBiasPreD(vgsi, vdsi, vbsi, &got)
-		checkSerial(t, "kernel", c, &got)
+		p.Bind().coreAt(vgsi, vdsi, vbsi, &got)
+		checkSerial(t, "one lane", c, &got)
 		cs := append([]coreCase{c}, c.partners(nPartners)...)
 		for k, co := range laneCore(cs) {
 			checkSerial(t, fmt.Sprintf("lane %d of %d", k, len(cs)), cs[k], &co)

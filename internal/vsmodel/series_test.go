@@ -9,19 +9,26 @@ import (
 	"vstat/internal/device"
 )
 
-// solveSeriesD runs the series solve of a card through a temporary
-// Instance, as the card's Eval does.
-func (p *Params) solveSeriesD(vgs, vds, vbs float64, st *seriesState) {
-	var in Instance
-	in.bind(p)
-	in.solveSeriesD(vgs, vds, vbs, st)
+// solve runs the series solve of a card at an n-equivalent,
+// source-referred bias through a temporary Instance, as a group of one, as
+// the card's Eval does. A card without a channel gets vdsi = vds and zeros.
+func (p *Params) solve(vgs, vds, vbs float64, st *seriesState) {
+	var ls [1]laneSolve
+	l := &ls[0]
+	l.in, l.b = p.Bind(), bias{vgs: vgs, vds: vds, vbs: vbs}
+	if l.in.weff <= 0 {
+		*st = seriesState{vdsi: vds}
+		return
+	}
+	solveLanes(ls[:])
+	*st = l.st
 }
 
 // solveSeries returns the card's converged drain current (A), charge
 // density, saturation measure and internal drain-source voltage.
 func (p *Params) solveSeries(vgs, vds, vbs float64) (id, qixo, fsat, vdsi float64) {
 	var st seriesState
-	p.solveSeriesD(vgs, vds, vbs, &st)
+	p.solve(vgs, vds, vbs, &st)
 	return st.id, st.co.q, st.co.s, st.vdsi
 }
 
@@ -32,8 +39,97 @@ func (p *Params) solveSeries(vgs, vds, vbs float64) (id, qixo, fsat, vdsi float6
 // model.
 func (p *Params) coreBias(vgsi, vdsi, vbsi float64) (idPerW, qixo, fsat float64) {
 	var co coreOut
-	p.Bind().coreBiasPreD(vgsi, vdsi, vbsi, &co)
+	p.Bind().coreAt(vgsi, vdsi, vbsi, &co)
 	return co.f, co.q, co.s
+}
+
+// coreAt runs the kernel's core at one internal bias, as a group of one,
+// into co.
+func (in *Instance) coreAt(vgsi, vdsi, vbsi float64, co *coreOut) {
+	var ls [1]laneSolve
+	l := &ls[0]
+	l.in, l.vgsi, l.vdsi, l.vbsi = in, vgsi, vdsi, vbsi
+	core(ls[:], []int{0})
+	*co = l.st.co
+}
+
+// solveSeriesD is the series solve in its one-device form, the oracle that
+// FuzzInstanceMatchesCard holds every lane of the kernel to bit for bit:
+// the control flow and acceptance rules of solveLanes and step written as
+// one loop, evaluating the core through coreSerial. It fills st, which it
+// resets first.
+func (in *Instance) solveSeriesD(vgs, vds, vbs float64, st *seriesState) {
+	*st = seriesState{}
+	w := in.weff
+	if w <= 0 {
+		st.vdsi = vds
+		return
+	}
+	rs, rd := in.rs, in.rd
+
+	// eval writes the core evaluation straight into st.co ("last evaluation
+	// wins").
+	eval := func(i float64) (f, df, vdsiOut float64) {
+		st.evals++
+		vgsi := vgs - i*rs
+		vdsiOut = vds - i*(rs+rd)
+		dvd := -(rs + rd) // d vdsi / dI, zero once the clamp engages
+		if vdsiOut < 0 {
+			vdsiOut = 0
+			dvd = 0
+		}
+		vbsi := vbs - i*rs
+		in.p.coreSerial(vgsi, vdsiOut, vbsi, in.delta, in.vdsats, &st.co)
+		f = w * st.co.f
+		df = w * (st.co.fG*(-rs) + st.co.fD*dvd + st.co.fB*(-rs))
+		return f, df, vdsiOut
+	}
+
+	f0, df0, v0 := eval(0)
+	st.id, st.vdsi = f0, v0
+	if rs == 0 && rd == 0 {
+		return
+	}
+	tol := 1e-13 + 1e-9*f0
+	if f0 <= tol {
+		return
+	}
+
+	a, b := 0.0, f0
+	x := f0 / (1 - df0) // Newton step from I=0: g(0) = −F(0), g'(0) = 1 − F'(0)
+	prev := x           // the last Newton step; 0 after a bisection step
+	if !(x > a && x < b) {
+		x = 0.5 * (a + b)
+		prev = 0
+	} else if firstIterateConverged(w*st.co.q*in.p.Vxo, in.p.PhiT, rs+rd, x, df0, tol) {
+		st.id, st.vdsi = x, acceptMove(&st.co, x, 0, vds, rs, rd)
+		return
+	}
+	for it := 0; it < 60; it++ {
+		fx, dfx, vx := eval(x)
+		gx := x - fx
+		st.id, st.vdsi = fx, vx
+		if math.Abs(gx) <= tol || b-a <= 1e-15*(1+b) {
+			st.id = x
+			return
+		}
+		if gx > 0 {
+			b = x
+		} else {
+			a = x
+		}
+		xn := x - gx/(1-dfx)
+		if !(xn > a && xn < b) {
+			xn = 0.5 * (a + b)
+			prev = 0
+		} else if newtonConverged(xn-x, prev, tol) {
+			st.id, st.vdsi = xn, acceptMove(&st.co, xn, x, vds, rs, rd)
+			return
+		} else {
+			prev = xn - x
+		}
+		x = xn
+	}
 }
 
 // Property: the series-resistance solution satisfies its own implicit
@@ -310,7 +406,7 @@ func FuzzSeriesSolve(f *testing.F) {
 		}
 
 		var st seriesState
-		p.solveSeriesD(ngs, nds, nbs, &st)
+		p.solve(ngs, nds, nbs, &st)
 		ref := bisectSeries(&p, ngs, nds, nbs)
 		if err := math.Abs(st.id - ref.id); err > ref.tol {
 			t.Fatalf("%+v: I %g vs root %g: error %.3g tol (%d evaluations)", c, st.id, ref.id, err/ref.tol, st.evals)
@@ -350,7 +446,7 @@ func TestSeriesSolveEvalBudget(t *testing.T) {
 			continue
 		}
 		vgs, vds, vbs := c.bias()
-		p.solveSeriesD(vgs, vds, vbs, &st)
+		p.solve(vgs, vds, vbs, &st)
 		evals += st.evals
 		solves++
 	}

@@ -241,122 +241,6 @@ type coreOut struct {
 	sG, sD, sB float64
 }
 
-// coreBiasPreD evaluates the core current, charge density and saturation
-// function together with their closed-form partials. The derivatives reuse
-// the transcendentals of the value computation (the logistic and softplus
-// derivatives fall out of the already-computed exponentials, and dFsat/dx =
-// Fsat/(x(1+x^β))), so a derivative-carrying evaluation costs the same
-// exp/log budget as a plain one — which is what lets the series solver run
-// Newton instead of secant and the simulator skip finite differences
-// entirely.
-//
-// The charge's softplus chain (exp, then log1p) and the Fsat chain (log,
-// exp, log1p, exp) do not feed each other, and a dependent exp costs about
-// three times an independent one. So the first two steps of the chains are
-// issued in pairs, exp(arg) next to log(x) and then log1p(e) next to
-// exp(β·log x), and their latencies overlap. Every operation and operand is
-// the one the chains computed back to back, so the values are the same
-// bits (FuzzCoreOverlap holds the kernel to that serial form). The result
-// is written into the caller's coreOut in place (the 96-byte struct would
-// otherwise be copied twice per solver iteration).
-func (in *Instance) coreBiasPreD(vgsi, vdsi, vbsi float64, co *coreOut) {
-	p := &in.p
-	phit := p.PhiT
-
-	// Body-corrected, DIBL-corrected threshold.
-	vbsEff := vbsi
-	clamped := false
-	if vbsEff > in.vbsMax {
-		vbsEff = in.vbsMax // clamp to keep sqrt real; deep forward body bias is outside model validity
-		clamped = true
-	}
-	vt := p.VT0 - in.delta*vdsi
-	vtD := -in.delta // ∂vt/∂vdsi (DIBL)
-	vtB := 0.0       // ∂vt/∂vbsi (body effect)
-	if p.GammaB != 0 {
-		sq := math.Sqrt(p.PhiB - vbsEff)
-		vt += p.GammaB * (sq - in.sqrtPhiB)
-		if !clamped {
-			vtB = -p.GammaB / (2 * sq)
-		}
-	}
-
-	n := p.N0 + p.Nd*vdsi
-	nphit := n * phit
-	aphit := in.aphit
-
-	// Inversion transition function FF: →1 in weak inversion, →0 in strong.
-	ff, ffp := logisticD((vt - in.aphitHalf - vgsi) / aphit)
-	ffG := ffp * in.ffArgG
-	ffD := ffp * in.ffArgD
-	ffB := ffp * (vtB / aphit)
-
-	// Virtual-source charge density (paper's charge expression).
-	num := vgsi - (vt - aphit*ff)
-	numG := 1 + aphit*ffG
-	numD := aphit*ffD - vtD
-	numB := aphit*ffB - vtB
-	arg := num / nphit
-
-	// Saturation voltage blends the strong-inversion value vxo·Leff/µ with
-	// the thermal value φt in weak inversion.
-	vdsat := in.vdsats*(1-ff) + phit*ff
-	x := vdsi / vdsat
-
-	// The two chains' first steps: softplus(arg) = log1p(e^arg), guarded
-	// against overflow above 40 and reduced to e^arg below −40, and
-	// Fsat's t = x^β, written as exp(β·log x) so that each pow collapses to
-	// one exp+log pair.
-	var e, lx float64
-	if !(arg > 40) {
-		e = math.Exp(arg)
-	}
-	if x > 0 {
-		lx = math.Log(x)
-	}
-	var sp, spp, t float64 // softplus(arg), its derivative e/(1+e), x^β
-	switch {
-	case arg > 40:
-		sp, spp = arg, 1
-	case arg < -40:
-		sp, spp = e, e
-	default:
-		sp, spp = math.Log1p(e), e/(1+e)
-	}
-	if x > 0 {
-		t = math.Exp(p.Beta * lx)
-	}
-
-	co.q = p.Cinv * nphit * sp
-	cspp := p.Cinv * nphit * spp
-	co.qG = cspp * (numG / nphit)
-	co.qD = p.Cinv*in.nphitD*sp + cspp*((numD-arg*in.nphitD)/nphit)
-	co.qB = cspp * (numB / nphit)
-
-	// Saturation function Fsat (paper Eq. 3).
-	if x > 0 {
-		co.s = x * math.Exp(-math.Log1p(t)/p.Beta)
-		dfdx := co.s / (x * (1 + t))
-		co.sG = dfdx * (-(x * in.vdsatP * ffG) / vdsat)
-		co.sD = dfdx * ((1 - x*in.vdsatP*ffD) / vdsat)
-		co.sB = dfdx * (-(x * in.vdsatP * ffB) / vdsat)
-	} else {
-		// x = 0 happens at vdsi = 0 (e.g. equal node voltages at DC init, or
-		// a device pulled fully linear). Fsat(x) = x·(1+x^β)^(−1/β) has the
-		// one-sided slope dFsat/dx → 1 there, so the vdsi-derivative must
-		// carry the 1/vdsat limit: zeroing it would report gds = 0 for a
-		// turned-on device at Vds = 0 and leave its output node's Jacobian
-		// row near-singular (Newton then limit-cycles off the solution).
-		co.s, co.sG, co.sB = 0, 0, 0
-		co.sD = 1 / vdsat
-	}
-
-	co.f = co.s * co.q * p.Vxo
-	co.fG = (co.sG*co.q + co.s*co.qG) * p.Vxo
-	co.fD = (co.sD*co.q + co.s*co.qD) * p.Vxo
-	co.fB = (co.sB*co.q + co.s*co.qB) * p.Vxo
-}
-
 // seriesState is a converged series-resistance solve: the drain current (A),
 // the internal drain-source voltage, the core evaluation — values plus
 // analytic partials with respect to the internal voltages — at the last
@@ -366,103 +250,6 @@ type seriesState struct {
 	vdsi  float64
 	co    coreOut
 	evals int
-}
-
-// solveSeriesD solves the series-resistance feedback self-consistently for
-// an n-equivalent device with external source-referred voltages (vds ≥ 0):
-// the internal voltages are vgsi = vgs − Id·Rs and vdsi = vds − Id·(Rs+Rd).
-// The root of g(I) = I − F(I), with F the core current at the degraded
-// internal bias, is found by Newton iteration on the analytic slope
-// g' = 1 − dF/dI, safeguarded by the bracket [0, F(0)]: F is monotone
-// decreasing in I, so g(0) = −F(0) < 0 and g(F(0)) ≥ 0 hold without
-// evaluating the upper endpoint, dF/dI ≤ 0 keeps g' ≥ 1 (no division
-// hazards), and any Newton step that leaves the bracket falls back to
-// bisection. Unlike plain
-// fixed-point iteration the solve stays convergent in the deep linear region
-// where gds·(Rs+Rd) exceeds unity. The tolerance is relative (~1e-9 of the
-// drive current), far tighter than the simulator's Newton residual
-// tolerance.
-//
-// The solve takes a Newton iterate without evaluating the core there once
-// its error is provably below the tolerance (firstIterateConverged,
-// newtonConverged), and moves qixo and Fsat to it to first order
-// (acceptMove). A typical solve makes one or two core evaluations, 1.74 on
-// average over INV FO3 delay samples.
-//
-// The solve fills the caller's st, which it resets first: at 128 bytes a
-// returned state would be copied on every device evaluation.
-func (in *Instance) solveSeriesD(vgs, vds, vbs float64, st *seriesState) {
-	*st = seriesState{}
-	w := in.weff
-	if w <= 0 {
-		st.vdsi = vds
-		return
-	}
-	rs, rd := in.rs, in.rd
-
-	// eval writes the core evaluation straight into st.co ("last evaluation
-	// wins").
-	eval := func(i float64) (f, df, vdsiOut float64) {
-		st.evals++
-		vgsi := vgs - i*rs
-		vdsiOut = vds - i*(rs+rd)
-		dvd := -(rs + rd) // d vdsi / dI, zero once the clamp engages
-		if vdsiOut < 0 {
-			vdsiOut = 0
-			dvd = 0
-		}
-		vbsi := vbs - i*rs
-		in.coreBiasPreD(vgsi, vdsiOut, vbsi, &st.co)
-		f = w * st.co.f
-		df = w * (st.co.fG*(-rs) + st.co.fD*dvd + st.co.fB*(-rs))
-		return f, df, vdsiOut
-	}
-
-	f0, df0, v0 := eval(0)
-	st.id, st.vdsi = f0, v0
-	if rs == 0 && rd == 0 {
-		return
-	}
-	tol := 1e-13 + 1e-9*f0
-	if f0 <= tol {
-		return
-	}
-
-	a, b := 0.0, f0
-	x := f0 / (1 - df0) // Newton step from I=0: g(0) = −F(0), g'(0) = 1 − F'(0)
-	prev := x           // the last Newton step; 0 after a bisection step
-	if !(x > a && x < b) {
-		x = 0.5 * (a + b)
-		prev = 0
-	} else if firstIterateConverged(w*st.co.q*in.p.Vxo, in.p.PhiT, rs+rd, x, df0, tol) {
-		st.id, st.vdsi = x, acceptMove(&st.co, x, 0, vds, rs, rd)
-		return
-	}
-	for it := 0; it < 60; it++ {
-		fx, dfx, vx := eval(x)
-		gx := x - fx
-		st.id, st.vdsi = fx, vx
-		if math.Abs(gx) <= tol || b-a <= 1e-15*(1+b) {
-			st.id = x
-			return
-		}
-		if gx > 0 {
-			b = x
-		} else {
-			a = x
-		}
-		xn := x - gx/(1-dfx)
-		if !(xn > a && xn < b) {
-			xn = 0.5 * (a + b)
-			prev = 0
-		} else if newtonConverged(xn-x, prev, tol) {
-			st.id, st.vdsi = xn, acceptMove(&st.co, xn, x, vds, rs, rd)
-			return
-		} else {
-			prev = xn - x
-		}
-		x = xn
-	}
 }
 
 // firstIterateConverged reports whether the Newton iterate x1 = F(0)/(1−F'(0))
@@ -517,13 +304,14 @@ func (in *Instance) Eval(vd, vg, vs, vb float64) device.Eval {
 	if in.weff <= 0 {
 		return device.Eval{}
 	}
-	b := in.orient(vd, vg, vs, vb)
-	var st seriesState
-	in.solveSeriesD(b.vgs, b.vds, b.vbs, &st)
-	id := st.id
-	q := in.charges(b.vgs, b.vgd, st.co.q, st.co.s)
+	var ls [1]laneSolve
+	ls[0].in, ls[0].b = in, in.orient(vd, vg, vs, vb) // not through a pointer, which would make in escape
+	solveLanes(ls[:])
+	l := &ls[0]
+	id := l.st.id
+	q := in.charges(l.b.vgs, l.b.vgd, l.st.co.q, l.st.co.s)
 
-	if b.swap {
+	if l.b.swap {
 		id = -id
 		q = q.SwapDS()
 	}
@@ -565,17 +353,4 @@ func (in *Instance) charges(vgs, vgd, qixo, fsat float64) device.Charges {
 		Qs: -qsFrac*qInv - qovS,
 		Qb: 0,
 	}
-}
-
-// logisticD returns the logistic 1/(1+e^{-x}), guarded against overflow,
-// together with its derivative s·(1−s), reusing the single exponential.
-func logisticD(x float64) (s, d float64) {
-	if x > 40 {
-		return 1, 0
-	}
-	if x < -40 {
-		return 0, 0
-	}
-	s = 1 / (1 + math.Exp(-x))
-	return s, s * (1 - s)
 }
