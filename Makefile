@@ -115,12 +115,13 @@ tranrecord:
 # Model-numerics rung: the VS series-resistance solve against a bisection
 # root (its current within the solve's tolerance, qixo and Fsat at the root,
 # Eval equal to EvalDerivs4's values, and the pinned core-evaluation budget),
-# the VS core kernel, which interleaves its softplus and Fsat chains, and
-# its lane form, which runs up to four devices' core evaluations stage by
-# stage beside each other, against the serial form bit for bit on every
-# branch (FuzzCoreOverlap), a bound vsmodel.Instance against its card's
-# Eval and EvalDerivs4 bit for bit, alone and in lockstep groups of two to
-# four with the one-device solve's core-evaluation count
+# the VS core kernel, which interleaves its softplus and Fsat chains and
+# runs up to four devices' core evaluations stage by stage beside each
+# other, against the serial form bit for bit on every branch, alone and
+# beside partners (FuzzCoreOverlap), a bound vsmodel.Instance against its
+# card's Eval and EvalDerivs4 bit for bit, alone and in lockstep groups of
+# two to four, with each lane's series state and core-evaluation count
+# those of the one-device solve the tests keep as the oracle
 # (FuzzInstanceMatchesCard), and unchanged by later edits of that card
 # (TestBoundInstanceIgnoresCardChanges),
 # both models' native Jacobians against central finite differences over
