@@ -77,11 +77,10 @@ func NewSparseLU(a *Sparse) (*SparseLU, error) {
 // tape. It allocates; the per-sample path is Refactor. Call it again only
 // when Refactor reports ErrSingular or excessive Growth — values so far from
 // the analyzed ones that the static pivot order has gone numerically bad.
+// A 0×0 pattern analyzes to the empty factorization, which refactors and
+// solves as a no-op, as the dense LU of a 0×0 matrix does.
 func (f *SparseLU) Analyze(a *Sparse) error {
 	n := a.N
-	if n == 0 {
-		return ErrSingular
-	}
 	// Working pattern and values in original coordinates. occ is structural:
 	// once a position fills in it stays in the pattern even if its value
 	// cancels to zero, so the tape is value-independent.

@@ -228,6 +228,25 @@ func TestSparseLUSingular(t *testing.T) {
 	}
 }
 
+// TestSparseLUEmpty: a 0×0 pattern analyzes to the empty factorization,
+// which refactors and solves as a no-op, as NewLU of a 0×0 matrix does.
+func TestSparseLUEmpty(t *testing.T) {
+	sp, _ := NewSparseBuilder(0).Build()
+	f, err := NewSparseLU(sp)
+	if err != nil {
+		t.Fatalf("NewSparseLU of a 0×0 pattern: %v", err)
+	}
+	if err := f.Refactor(sp); err != nil {
+		t.Fatalf("Refactor of a 0×0 pattern: %v", err)
+	}
+	if x := f.SolvePermuting(nil, nil); len(x) != 0 {
+		t.Fatalf("empty solve returned %v", x)
+	}
+	if _, err := NewLU(NewMatrix(0, 0)); err != nil {
+		t.Fatalf("NewLU of a 0×0 matrix: %v", err)
+	}
+}
+
 // TestSparseLURefactorSolveAllocFree: the per-sample path — refactor plus
 // triangular solve — must not allocate.
 func TestSparseLURefactorSolveAllocFree(t *testing.T) {

@@ -44,6 +44,30 @@ func TestCurrentSourceOP(t *testing.T) {
 	}
 }
 
+// A circuit with no unknowns (a deck holding only analysis cards) has an
+// empty operating point and a transient of empty rows, solved on the empty
+// factorization rather than failing as a singular Jacobian.
+func TestEmptyCircuit(t *testing.T) {
+	c := New()
+	op, err := c.OP()
+	if err != nil {
+		t.Fatalf("OP of an empty circuit: %v", err)
+	}
+	if len(op.x) != 0 {
+		t.Fatalf("empty circuit OP holds %d unknowns", len(op.x))
+	}
+	res, err := c.Transient(TranOpts{Stop: 10e-12, Step: 1e-12})
+	if err != nil {
+		t.Fatalf("transient of an empty circuit: %v", err)
+	}
+	if len(res.Time) != 11 {
+		t.Fatalf("empty circuit transient has %d rows, want 11", len(res.Time))
+	}
+	if st := c.Stats(); st.Rescues != 0 || st.DCPseudoRescues != 0 || st.DCGminRescues != 0 {
+		t.Fatalf("empty circuit climbed the rescue ladder: %+v", st)
+	}
+}
+
 func TestKCLResidualAtSolution(t *testing.T) {
 	// Property: at a converged OP the assembled residual is ~0.
 	c := New()
