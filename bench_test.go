@@ -23,7 +23,6 @@ import (
 	"vstat/internal/device"
 	"vstat/internal/experiments"
 	"vstat/internal/extract"
-	"vstat/internal/linalg"
 	"vstat/internal/measure"
 	"vstat/internal/montecarlo"
 	"vstat/internal/spice"
@@ -344,30 +343,5 @@ func BenchmarkAblationMCDriver(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Dense LU solve at MNA-typical sizes.
-func BenchmarkAblationLUSolve(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 16
-	a := linalg.NewMatrix(n, n)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	for i := 0; i < n; i++ {
-		a.Add(i, i, float64(n))
-	}
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lu, err := linalg.NewLU(a)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lu.Solve(rhs)
 	}
 }

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	vsbench [-n 64] [-workers 1] [-mode exact|fast|both] [-core dense|sparse|both] [-out BENCH_mc.json]
+//	vsbench [-n 64] [-workers 1] [-mode exact|fast|both] [-out BENCH_mc.json]
 //
 // The default single worker keeps the per-sample allocation figures free of
 // scheduler noise; raise -workers to measure parallel throughput instead.
@@ -64,11 +64,10 @@ func distFrom(h obs.HistSnap) distRecord {
 	}
 }
 
-// unitRecord is one (unit, linear core, mode) row of BENCH_mc.json.
+// unitRecord is one (unit, mode) row of BENCH_mc.json.
 type unitRecord struct {
 	Unit                 string  `json:"unit"`
 	Mode                 string  `json:"mode"`
-	LinearCore           string  `json:"linear_core"`
 	MatrixN              int     `json:"matrix_n"`
 	MatrixNNZ            int     `json:"matrix_nnz"`
 	FillRatio            float64 `json:"nnz_fill_ratio"`
@@ -246,10 +245,9 @@ func (p *statsPool) total() spice.SolverStats {
 // lifecycle knobs (per-sample budget, hang watchdog, checkpoint). A non-nil
 // mi attaches per-sample phase timing and Newton-work histograms (the
 // distribution pass); nil keeps the hot path on its nil-scope no-op
-// branches (the timed pass). core selects the linear-algebra backend of
-// every worker template, and mr (when non-nil) receives the template's MNA
+// branches (the timed pass). mr (when non-nil) receives the template's MNA
 // matrix shape.
-type unitFn func(ctx context.Context, n int, seed int64, workers int, opts montecarlo.RunOpts, fast bool, core spice.LinearCore, mi *experiments.MCInstr, mr *matRec) (spice.SolverStats, montecarlo.RunReport, error)
+type unitFn func(ctx context.Context, n int, seed int64, workers int, opts montecarlo.RunOpts, fast bool, mi *experiments.MCInstr, mr *matRec) (spice.SolverStats, montecarlo.RunReport, error)
 
 // matRec captures the MNA matrix shape of a unit's template circuit, filled
 // once by the first worker that builds one (all workers share the topology).
@@ -297,7 +295,7 @@ const (
 
 func gateUnit(m core.StatModel, vdd float64, sz circuits.Sizing,
 	build func(vdd float64, sz circuits.Sizing, nominal circuits.Factory, fast bool) (*circuits.PooledGate, error)) unitFn {
-	return func(ctx context.Context, n int, seed int64, workers int, opts montecarlo.RunOpts, fast bool, core spice.LinearCore, mi *experiments.MCInstr, mr *matRec) (spice.SolverStats, montecarlo.RunReport, error) {
+	return func(ctx context.Context, n int, seed int64, workers int, opts montecarlo.RunOpts, fast bool, mi *experiments.MCInstr, mr *matRec) (spice.SolverStats, montecarlo.RunReport, error) {
 		var pool statsPool
 		_, rep, err := montecarlo.MapPooledReportCtx(ctx, n, seed, workers, opts,
 			func(int) (instrState[*circuits.PooledGate], error) {
@@ -305,7 +303,6 @@ func gateUnit(m core.StatModel, vdd float64, sz circuits.Sizing,
 				if err != nil {
 					return instrState[*circuits.PooledGate]{}, err
 				}
-				b.Ckt.LinearCore = core
 				mn, nnz, _ := b.Ckt.MatrixInfo()
 				mr.record(mn, nnz)
 				pool.add(b.Ckt.Stats)
@@ -380,19 +377,18 @@ func (s *shardSide) apply(rec *unitRecord) {
 // per-sample alloc figures stay comparable to the local rows.
 func shardGateUnit(m core.StatModel, model string, vdd float64, sz circuits.Sizing, shardSize, endpoints int, side *shardSide,
 	build func(vdd float64, sz circuits.Sizing, nominal circuits.Factory, fast bool) (*circuits.PooledGate, error)) unitFn {
-	return func(ctx context.Context, n int, seed int64, workers int, opts montecarlo.RunOpts, fast bool, lcore spice.LinearCore, mi *experiments.MCInstr, mr *matRec) (spice.SolverStats, montecarlo.RunReport, error) {
+	return func(ctx context.Context, n int, seed int64, workers int, opts montecarlo.RunOpts, fast bool, mi *experiments.MCInstr, mr *matRec) (spice.SolverStats, montecarlo.RunReport, error) {
 		if opts.Checkpoint != nil {
 			return spice.SolverStats{}, montecarlo.RunReport{}, fmt.Errorf("sharded rows cannot checkpoint (shards are the retry unit)")
 		}
 		var pool statsPool
-		hash := montecarlo.ConfigHash("vsbench-shard", seed, n, vdd, lcore.String(), fast, model)
+		hash := montecarlo.ConfigHash("vsbench-shard", seed, n, vdd, fast, model)
 		exec := shard.NewExecutor(hash, workers,
 			func(int) (instrState[*circuits.PooledGate], error) {
 				b, err := build(vdd, sz, m.Nominal(), fast)
 				if err != nil {
 					return instrState[*circuits.PooledGate]{}, err
 				}
-				b.Ckt.LinearCore = lcore
 				mn, nnz, _ := b.Ckt.MatrixInfo()
 				mr.record(mn, nnz)
 				pool.add(b.Ckt.Stats)
@@ -450,13 +446,12 @@ func shardGateUnit(m core.StatModel, model string, vdd float64, sz circuits.Sizi
 }
 
 func dffUnit(m core.StatModel, vdd float64) unitFn {
-	return func(ctx context.Context, n int, seed int64, workers int, runOpts montecarlo.RunOpts, fast bool, core spice.LinearCore, mi *experiments.MCInstr, mr *matRec) (spice.SolverStats, montecarlo.RunReport, error) {
+	return func(ctx context.Context, n int, seed int64, workers int, runOpts montecarlo.RunOpts, fast bool, mi *experiments.MCInstr, mr *matRec) (spice.SolverStats, montecarlo.RunReport, error) {
 		opts := measure.DefaultSetupOpts()
 		var pool statsPool
 		_, rep, err := montecarlo.MapPooledReportCtx(ctx, n, seed, workers, runOpts,
 			func(int) (instrState[*circuits.PooledDFF], error) {
 				ff := circuits.NewPooledDFF(vdd, circuits.DefaultDFFSizing(), m.Nominal(), fast)
-				ff.Ckt.LinearCore = core
 				mn, nnz, _ := ff.Ckt.MatrixInfo()
 				mr.record(mn, nnz)
 				pool.add(ff.Ckt.Stats)
@@ -485,12 +480,11 @@ func dffUnit(m core.StatModel, vdd float64) unitFn {
 
 func sramUnit(m core.StatModel, vdd float64) unitFn {
 	const points = 61 // butterfly sweep resolution, matching Fig. 9
-	return func(ctx context.Context, n int, seed int64, workers int, opts montecarlo.RunOpts, fast bool, core spice.LinearCore, mi *experiments.MCInstr, mr *matRec) (spice.SolverStats, montecarlo.RunReport, error) {
+	return func(ctx context.Context, n int, seed int64, workers int, opts montecarlo.RunOpts, fast bool, mi *experiments.MCInstr, mr *matRec) (spice.SolverStats, montecarlo.RunReport, error) {
 		var pool statsPool
 		_, rep, err := montecarlo.MapPooledReportCtx(ctx, n, seed, workers, opts,
 			func(int) (instrState[*circuits.PooledSRAM], error) {
 				cell := circuits.NewPooledSRAM(vdd, circuits.DefaultSRAMSizing(), m.Nominal(), points, fast)
-				cell.SetLinearCore(core)
 				mn, nnz, _ := cell.MatrixInfo()
 				mr.record(mn, nnz)
 				pool.add(cell.Stats)
@@ -603,10 +597,10 @@ func modelID(m *core.StatVS) string { return fmt.Sprintf("%v", *m) }
 // comparable across revisions; when dist is set, a second pass with the
 // same seed re-runs under instrumentation and attaches the Newton-iteration
 // and per-phase wall-time distributions. With a checkpoint directory the
-// timed pass records every sample to <dir>/<unit>-<core>-<mode>.ckpt.json
+// timed pass records every sample to <dir>/<unit>-<mode>.ckpt.json
 // (resumed samples are skipped, so resumed perf figures cover only the
 // freshly-run remainder; the distribution pass never checkpoints).
-func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
+func runUnit(name, mode string, fn unitFn,
 	openCk func(path, hash string, n int, resume bool) (benchCkpt, error),
 	n int, seed int64, workers int, lc benchLC, dist bool, bo *benchObs) (unitRecord, error) {
 	fast := mode == "fast"
@@ -616,8 +610,8 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 		if err := os.MkdirAll(lc.ckDir, 0o755); err != nil {
 			return unitRecord{}, fmt.Errorf("checkpoint dir: %w", err)
 		}
-		path := filepath.Join(lc.ckDir, fmt.Sprintf("%s-%s-%s.ckpt.json", name, core, mode))
-		hash := montecarlo.ConfigHash(seed, n, lc.vdd, name, core.String(), mode, lc.model)
+		path := filepath.Join(lc.ckDir, fmt.Sprintf("%s-%s.ckpt.json", name, mode))
+		hash := montecarlo.ConfigHash(seed, n, lc.vdd, name, mode, lc.model)
 		var err error
 		ck, err = openCk(path, hash, n, lc.resume)
 		if err != nil {
@@ -625,8 +619,8 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 		}
 		opts.Checkpoint = ck
 		if r := ck.Restored(); r > 0 {
-			fmt.Printf("%-10s %-6s %-5s  resuming: %d of %d samples restored from checkpoint\n",
-				name, core, mode, r, n)
+			fmt.Printf("%-10s %-5s  resuming: %d of %d samples restored from checkpoint\n",
+				name, mode, r, n)
 		}
 	}
 	runtime.GC()
@@ -634,7 +628,7 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
-	stats, rep, err := fn(lc.ctx, n, seed, workers, opts, fast, core, nil, &mr)
+	stats, rep, err := fn(lc.ctx, n, seed, workers, opts, fast, nil, &mr)
 	elapsed := time.Since(t0)
 	runtime.ReadMemStats(&after)
 	if ck != nil {
@@ -646,12 +640,11 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 		}
 	}
 	if err != nil {
-		return unitRecord{}, fmt.Errorf("%s (%s, %s): %w", name, mode, core, err)
+		return unitRecord{}, fmt.Errorf("%s (%s): %w", name, mode, err)
 	}
 	rec := unitRecord{
 		Unit:                     name,
 		Mode:                     mode,
-		LinearCore:               core.String(),
 		MatrixN:                  mr.n,
 		MatrixNNZ:                mr.nnz,
 		Samples:                  n,
@@ -688,13 +681,13 @@ func runUnit(name, mode string, core spice.LinearCore, fn unitFn,
 		distOpts := lc.opts // never the checkpoint: the pass re-runs every sample
 		var unitSpan *obstrace.Span
 		if lc.rec != nil {
-			unit := fmt.Sprintf("%s/%s/%s", name, core, mode)
+			unit := fmt.Sprintf("%s/%s", name, mode)
 			unitSpan = lc.rec.Start(unit, obstrace.CatExperiment, lc.runSpan)
 			distOpts.Trace = obstrace.NewMC(lc.rec, unit, unitSpan.ID(), lc.traceK)
 		}
-		if _, _, err := fn(lc.ctx, n, seed, workers, distOpts, fast, core, mi, nil); err != nil {
+		if _, _, err := fn(lc.ctx, n, seed, workers, distOpts, fast, mi, nil); err != nil {
 			unitSpan.End()
-			return unitRecord{}, fmt.Errorf("%s (%s, %s) distribution pass: %w", name, mode, core, err)
+			return unitRecord{}, fmt.Errorf("%s (%s) distribution pass: %w", name, mode, err)
 		}
 		distOpts.Trace.Finish()
 		unitSpan.End()
@@ -760,7 +753,7 @@ func measureBudgetOverhead(ctx context.Context, inv unitFn, n int, seed int64, w
 		for rep := 0; rep < 3; rep++ {
 			runtime.GC()
 			t0 := time.Now()
-			_, _, err := inv(ctx, n, seed, workers, opts, false, spice.CoreDense, nil, nil)
+			_, _, err := inv(ctx, n, seed, workers, opts, false, nil, nil)
 			if err != nil {
 				return 0, err
 			}
@@ -790,7 +783,6 @@ func main() {
 		mode     = flag.String("mode", "both", "solver path: exact, fast, or both")
 		shardSz  = flag.Int("shard-size", 16, "samples per shard for the sharded-coordinator INV/NAND2 rows (0 = skip those rows)")
 		shardEps = flag.Int("shard-endpoints", 2, "in-process loopback endpoints for the sharded rows")
-		coreSel  = flag.String("core", "both", "linear core: dense, sparse, or both (paired rows per unit)")
 		modelB   = flag.Bool("model-bench", true, "microbench the raw VS model evaluation and record it under \"model_eval\" in -out")
 		out      = flag.String("out", "BENCH_mc.json", "output JSON path")
 		seed     = flag.Int64("seed", 20130318, "master random seed")
@@ -901,19 +893,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var cores []spice.LinearCore
-	switch *coreSel {
-	case "dense":
-		cores = []spice.LinearCore{spice.CoreDense}
-	case "sparse":
-		cores = []spice.LinearCore{spice.CoreSparse}
-	case "both":
-		cores = []spice.LinearCore{spice.CoreDense, spice.CoreSparse}
-	default:
-		fmt.Fprintf(os.Stderr, "vsbench: unknown -core %q (want dense, sparse, or both)\n", *coreSel)
-		os.Exit(2)
-	}
-
 	// Every unit draws mismatched devices: the golden-truth α's, which the
 	// contract tests draw from too. DefaultStatVS alone has zero α's and
 	// would give every device its nominal card.
@@ -1002,40 +981,37 @@ func main() {
 		}
 	}
 	for _, u := range units {
-		label := u.name
-		for _, core := range cores {
-			for _, md := range modes {
-				rec, err := runUnit(u.name, md, core, u.fn, u.ck, *n, *seed, *workers, lc, *dist, bo)
-				if err != nil {
-					if lifecycle.IsCancellation(err) {
-						doc.Interrupt = err.Error()
-						fmt.Fprintf(os.Stderr, "vsbench: interrupted: %v\n", err)
-						fmt.Fprintf(os.Stderr, "vsbench: flushing the %d completed unit records\n", len(doc.Units))
-						if *ckDir != "" {
-							fmt.Fprintf(os.Stderr, "vsbench: completed samples are preserved in %s; re-run with -resume to finish\n", *ckDir)
-						}
-						writeOut()
-						os.Exit(130)
+		for _, md := range modes {
+			rec, err := runUnit(u.name, md, u.fn, u.ck, *n, *seed, *workers, lc, *dist, bo)
+			if err != nil {
+				if lifecycle.IsCancellation(err) {
+					doc.Interrupt = err.Error()
+					fmt.Fprintf(os.Stderr, "vsbench: interrupted: %v\n", err)
+					fmt.Fprintf(os.Stderr, "vsbench: flushing the %d completed unit records\n", len(doc.Units))
+					if *ckDir != "" {
+						fmt.Fprintf(os.Stderr, "vsbench: completed samples are preserved in %s; re-run with -resume to finish\n", *ckDir)
 					}
-					fmt.Fprintf(os.Stderr, "vsbench: %v\n", err)
-					os.Exit(1)
+					writeOut()
+					os.Exit(130)
 				}
-				fmt.Printf("%-14s %-6s %-5s  n=%-3d nnz=%-4d fill=%.2f  %8.2f us/sample  %10.0f B/sample  %7.1f allocs/sample  %.2f iters/step\n",
-					label, rec.LinearCore, rec.Mode, rec.MatrixN, rec.MatrixNNZ, rec.FillRatio,
-					rec.NsPerSample/1e3, rec.BytesPerSample, rec.AllocsPerSample,
-					rec.NewtonItersPerStep)
-				u.ssd.apply(&rec)
-				if rec.Shards > 0 {
-					fmt.Printf("%-14s %-6s %-5s  shards: %d of size %d over %d endpoints, dispatched %d, retried %d, lost %d\n",
-						label, rec.LinearCore, rec.Mode, rec.Shards, rec.ShardSize, rec.ShardEndpoints,
-						rec.ShardDispatched, rec.ShardRetried, rec.ShardLost)
-				}
-				if rec.Failed > 0 || len(rec.RescuedBy) > 0 {
-					fmt.Printf("%-14s %-6s %-5s  health: attempted %d, succeeded %d, failed %d, rescued %v\n",
-						label, rec.LinearCore, rec.Mode, rec.Attempted, rec.Succeeded, rec.Failed, rec.RescuedBy)
-				}
-				doc.Units = append(doc.Units, rec)
+				fmt.Fprintf(os.Stderr, "vsbench: %v\n", err)
+				os.Exit(1)
 			}
+			fmt.Printf("%-15s %-5s  n=%-3d nnz=%-4d fill=%.2f  %8.2f us/sample  %10.0f B/sample  %7.1f allocs/sample  %.2f iters/step\n",
+				u.name, rec.Mode, rec.MatrixN, rec.MatrixNNZ, rec.FillRatio,
+				rec.NsPerSample/1e3, rec.BytesPerSample, rec.AllocsPerSample,
+				rec.NewtonItersPerStep)
+			u.ssd.apply(&rec)
+			if rec.Shards > 0 {
+				fmt.Printf("%-15s %-5s  shards: %d of size %d over %d endpoints, dispatched %d, retried %d, lost %d\n",
+					u.name, rec.Mode, rec.Shards, rec.ShardSize, rec.ShardEndpoints,
+					rec.ShardDispatched, rec.ShardRetried, rec.ShardLost)
+			}
+			if rec.Failed > 0 || len(rec.RescuedBy) > 0 {
+				fmt.Printf("%-15s %-5s  health: attempted %d, succeeded %d, failed %d, rescued %v\n",
+					u.name, rec.Mode, rec.Attempted, rec.Succeeded, rec.Failed, rec.RescuedBy)
+			}
+			doc.Units = append(doc.Units, rec)
 		}
 	}
 

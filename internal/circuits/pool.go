@@ -353,13 +353,6 @@ func (p *PooledSRAM) ArmSample(ctx context.Context, b lifecycle.Budget) {
 	p.cR.ArmSample(ctx, b)
 }
 
-// SetLinearCore selects the Jacobian factorization backend of both
-// half-circuits (see spice.LinearCore).
-func (p *PooledSRAM) SetLinearCore(core spice.LinearCore) {
-	p.cL.LinearCore = core
-	p.cR.LinearCore = core
-}
-
 // MatrixInfo reports the MNA matrix shape of one half-circuit (the two are
 // structurally identical mirrors); see spice.Circuit.MatrixInfo.
 func (p *PooledSRAM) MatrixInfo() (n, nnz int, sparse bool) {

@@ -14,35 +14,11 @@ type LU struct {
 // It returns ErrSingular when a pivot is exactly zero; near-singular systems
 // are still factored and reported by Cond-style checks at solve time.
 func NewLU(a *Matrix) (*LU, error) {
-	f := NewLUWorkspace(a.Rows)
-	if err := f.Factor(a); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// NewLUWorkspace allocates an empty n×n factorization workspace. Factor
-// refactors into it without allocating, so Newton loops can own one
-// workspace and refresh the Jacobian factorization in place.
-func NewLUWorkspace(n int) *LU {
-	return &LU{lu: NewMatrix(n, n), piv: make([]int, n), sign: 1}
-}
-
-// Factor refactors the square matrix a (which is not modified) into the
-// receiver's preallocated workspace. It is the allocation-free core of NewLU
-// and produces bit-identical factors. It returns ErrSingular when a pivot is
-// exactly zero; the workspace contents are then undefined until the next
-// successful Factor.
-func (f *LU) Factor(a *Matrix) error {
 	if a.Rows != a.Cols {
 		panic("linalg: LU of non-square matrix")
 	}
 	n := a.Rows
-	if f.lu.Rows != n || f.lu.Cols != n {
-		panic("linalg: LU.Factor workspace dimension mismatch")
-	}
-	copy(f.lu.Data, a.Data)
-	f.sign = 1
+	f := &LU{lu: a.Clone(), piv: make([]int, n), sign: 1}
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -57,7 +33,7 @@ func (f *LU) Factor(a *Matrix) error {
 			}
 		}
 		if max == 0 {
-			return ErrSingular
+			return nil, ErrSingular
 		}
 		if p != k {
 			rk, rp := lu.Row(k), lu.Row(p)
@@ -80,7 +56,7 @@ func (f *LU) Factor(a *Matrix) error {
 			}
 		}
 	}
-	return nil
+	return f, nil
 }
 
 // Solve solves A x = b for one right-hand side, returning a fresh slice.

@@ -142,28 +142,15 @@ type Circuit struct {
 	// MaxNewton bounds Newton iterations per solve (default 150).
 	MaxNewton int
 
-	// LinearCore selects the Jacobian factorization backend: CoreAuto (the
-	// zero value) honours the VSTAT_LINEAR_CORE environment override and
-	// otherwise picks the sparse core for systems of sparseMinN unknowns or
-	// more; CoreDense and CoreSparse force a path. See DESIGN.md §9.
-	LinearCore LinearCore
-
-	// Newton scratch buffers (see newton); sized on first solve. nwJac and
-	// nwLU are the dense-core workspaces, allocated only when the dense
-	// path is active.
+	// Newton scratch buffers (see newton); sized on first solve.
 	nwF, nwScratch, nwBack []float64
-	nwJac                  *linalg.Matrix
 
-	// Carried Jacobian factorization (see newton): nwLU is the reusable
-	// dense workspace, luValid/luKey gate reuse across solves, and
-	// coreSparse records which core produced the carried factors (a core
-	// switch drops them).
-	nwLU       *linalg.LU
-	luValid    bool
-	luKey      luKey
-	coreSparse bool
+	// Carried Jacobian factorization (see newton): luValid/luKey gate the
+	// reuse of spLU's factors across solves.
+	luValid bool
+	luKey   luKey
 
-	// Sparse linear core (see sparsecore.go): the CSC Jacobian with its
+	// The linear core (see sparsecore.go): the CSC Jacobian with its
 	// precomputed stamp→slot lists, and the symbolic-once factorization
 	// reused across all samples and timesteps of this topology.
 	sp      *linalg.Sparse

@@ -176,23 +176,13 @@ func (c *Circuit) Stats() SolverStats { return c.stats }
 // ResetStats zeroes the solver counters.
 func (c *Circuit) ResetStats() { c.stats = SolverStats{} }
 
-// assemble fills the residual F(x) (sum of currents leaving each node, plus
-// source constraint rows) and, when wantJ is set, its dense Jacobian: the
-// residual pass, then the dense Jacobian pass. Residual-only assembly
-// evaluates values only, enabling chord-Newton iterations on a frozen
+// assembleResidual is the residual pass: it fills F(x) (the sum of
+// currents leaving each node, plus the source constraint rows) and makes
+// every MOSFET's evaluation decision through mosEval. With full set, every
+// MOSFET's bypass entry holds afterwards the bundle whose GId and CQ the
+// Jacobian pass (stampSparse) stamps; without it the pass evaluates values
+// only and writes no bundle, for chord-Newton iterations on a frozen
 // Jacobian.
-func (c *Circuit) assemble(x, f []float64, jac *linalg.Matrix, ctx *assembleCtx, wantJ bool) {
-	c.assembleResidual(x, f, ctx, wantJ)
-	if wantJ {
-		c.stampDense(jac, c.jacKeyOf(ctx))
-	}
-}
-
-// assembleResidual is the residual pass of both linear cores: it fills F(x)
-// and makes every MOSFET's evaluation decision through mosEval. With full
-// set, every MOSFET's bypass entry holds afterwards the bundle whose GId
-// and CQ the Jacobian pass stamps; without it the pass evaluates values
-// only and writes no bundle.
 func (c *Circuit) assembleResidual(x, f []float64, ctx *assembleCtx, full bool) {
 	for i := range f {
 		f[i] = 0
@@ -315,77 +305,6 @@ func (c *Circuit) jacKeyOf(ctx *assembleCtx) jacKey {
 	return jacKey{luKey: ctxKey(ctx), cktGmin: c.Gmin, gen: c.gen}
 }
 
-// stampDense is the dense core's Jacobian pass: it zeroes jac and stamps
-// the linear elements and every MOSFET's bypass bundle under k, in the
-// order of stampSparse.
-func (c *Circuit) stampDense(jac *linalg.Matrix, k jacKey) {
-	jac.Zero()
-	nNodes := len(c.nodeNames)
-	addJ := func(row, col int, v float64) {
-		if row != Gnd && col != Gnd {
-			jac.Add(row, col, v)
-		}
-	}
-	g := k.cktGmin + k.gmin
-	for n := 0; n < nNodes; n++ {
-		addJ(n, n, g)
-	}
-	if k.pt > 0 {
-		for n := 0; n < nNodes; n++ {
-			addJ(n, n, k.pt)
-		}
-	}
-	for i := range c.rs {
-		r := &c.rs[i]
-		addJ(r.a, r.a, r.g)
-		addJ(r.a, r.b, -r.g)
-		addJ(r.b, r.a, -r.g)
-		addJ(r.b, r.b, r.g)
-	}
-	for i := range c.vs {
-		v := &c.vs[i]
-		br := nNodes + v.branch
-		addJ(v.p, br, 1)
-		addJ(v.n, br, -1)
-		addJ(br, v.p, 1)
-		addJ(br, v.n, -1)
-	}
-	var fac float64 // the charge companion's conductance per farad
-	if k.tran {
-		fac = 1 / k.h
-		if k.trapPhase {
-			fac = 2 / k.h
-		}
-		for i := range c.cs {
-			cp := &c.cs[i]
-			geq := cp.c / k.h
-			if k.trapPhase {
-				geq = 2 * cp.c / k.h
-			}
-			addJ(cp.a, cp.a, geq)
-			addJ(cp.a, cp.b, -geq)
-			addJ(cp.b, cp.a, -geq)
-			addJ(cp.b, cp.b, geq)
-		}
-	}
-	for i := range c.mos {
-		m := &c.mos[i]
-		dv := &c.bypass[i].dv
-		term := [4]int{m.d, m.g, m.s, m.b}
-		for j := 0; j < 4; j++ {
-			addJ(m.d, term[j], dv.GId[j])
-			addJ(m.s, term[j], -dv.GId[j])
-		}
-		if k.tran {
-			for r := 0; r < 4; r++ {
-				for j := 0; j < 4; j++ {
-					addJ(term[r], term[j], fac*dv.CQ[r][j])
-				}
-			}
-		}
-	}
-}
-
 // updateTranHistory advances the charge/current history after a converged
 // timestep at solution x. Capacitor charges are linear in x and recomputed
 // exactly. MOSFET terminal charges come from the evaluations cached by the
@@ -504,13 +423,6 @@ func (c *Circuit) sizeTranHistory(ts *tranState) {
 	}
 }
 
-// luSolver is the factorization interface newton drives: both the dense
-// *linalg.LU and the sparse *linalg.SparseLU satisfy it with the same
-// no-allocation SolvePermuting contract.
-type luSolver interface {
-	SolvePermuting(b, scratch []float64) []float64
-}
-
 // newton runs damped Newton iteration on the system selected by ctx,
 // starting from and updating x in place. On failure it returns a typed
 // *ConvergenceError carrying the iteration budget spent and the worst node
@@ -529,8 +441,8 @@ type luSolver interface {
 // iteration that has returned to a point repeats the cycle, so the accept
 // changes no solve that converges without it.
 //
-// On the sparse core an iteration stamps and factors its Jacobian only when
-// the held factorization is stale, within a solve and across solves alike
+// An iteration stamps and factors its Jacobian only when the held
+// factorization is stale, within a solve and across solves alike
 // (see the refresh policy below and DESIGN.md §6): the arithmetic is that
 // of refactoring every iteration, and only JacRefreshes drops.
 //
@@ -548,50 +460,32 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 		c.nwF = make([]float64, n)
 		c.nwScratch = make([]float64, n)
 		c.nwBack = make([]float64, n)
-		c.nwJac, c.nwLU = nil, nil
 		c.spReady = false
 		c.luValid = false
 	}
-	// Resolve the linear core; the per-core workspaces are lazy so a circuit
-	// on the sparse path never allocates the dense n² matrix (and vice
-	// versa). A core switch invalidates any carried factorization.
-	useSparse := c.useSparseCore()
-	if useSparse != c.coreSparse {
-		c.coreSparse = useSparse
-		c.luValid = false
-	}
-	if useSparse {
-		if !c.spReady {
-			c.buildStampMap()
-		}
-	} else if c.nwJac == nil {
-		c.nwJac = linalg.NewMatrix(n, n)
-		c.nwLU = linalg.NewLUWorkspace(n)
+	if !c.spReady {
+		c.buildStampMap()
 	}
 
 	maxIter := c.MaxNewton
 	if maxIter <= 0 {
 		maxIter = 150
 	}
-	f, scratch, jac, back := c.nwF, c.nwScratch, c.nwJac, c.nwBack
+	f, scratch, back := c.nwF, c.nwScratch, c.nwBack
 	key := ctxKey(ctx)
 	tv, ti := tolV, tolI
 	if ctx.fast {
 		tv, ti = tolVFast, tolIFast
 	}
 	nNodes := len(c.nodeNames)
-	var lu luSolver
+	var lu *linalg.SparseLU
 	prevDv := math.Inf(1)
 	forceJ := true
 	if ctx.carry && c.luValid && c.luKey == key {
 		// Start as chord Newton on the carried factorization: prevDv below
 		// the refresh threshold, no forced refresh. The first update that
 		// moves any node by more than 50 mV triggers a refresh.
-		if useSparse {
-			lu = c.spLU
-		} else {
-			lu = c.nwLU
-		}
+		lu = c.spLU
 		prevDv = 0.1
 		forceJ = false
 	}
@@ -617,13 +511,12 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 		// carried factorization skips the full evaluations as well, and the
 		// stall detector refreshes whenever contraction slows.
 		//
-		// The residual pass runs every iteration. On the sparse core the
-		// Jacobian pass and the factorization run only when the held
-		// factorization is stale: a bundle was written since it was made
-		// (spCurrent), or the key moved. Otherwise they would reproduce the held
-		// values and factors bit for bit, which is what a device bypass that
-		// serves every MOSFET leaves. The dense core stamps and factors
-		// every time.
+		// The residual pass runs every iteration. The Jacobian pass and the
+		// factorization run only when the held factorization is stale: a
+		// bundle was written since it was made (spCurrent), or the key
+		// moved. Otherwise they would reproduce the held values and factors
+		// bit for bit, which is what a device bypass that serves every
+		// MOSFET leaves.
 		//
 		// The with-Jacobian assembly is the "assemble-J" observability
 		// phase and the factorization "lu-factor", both carved out of
@@ -631,19 +524,17 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 		// "device-eval" (evalPending), so the device-model and
 		// linear-algebra costs are separately visible.
 		wantJ := !ctx.fast || lu == nil || forceJ || prevDv > 0.2
-		refresh := wantJ
-		var jk jacKey
+		var (
+			refresh bool
+			jk      jacKey
+		)
 		if wantJ {
 			c.obsScope.Enter(obs.PhaseAssemble)
-			if useSparse {
-				c.assembleResidual(x, f, ctx, true)
-				jk = c.jacKeyOf(ctx)
-				if refresh = !c.spCurrent || c.spKey != jk; refresh {
-					c.spCurrent = false // the pass overwrites the held values
-					c.stampSparse(jk)
-				}
-			} else {
-				c.assemble(x, f, jac, ctx, true)
+			c.assembleResidual(x, f, ctx, true)
+			jk = c.jacKeyOf(ctx)
+			if refresh = !c.spCurrent || c.spKey != jk; refresh {
+				c.spCurrent = false // the pass overwrites the held values
+				c.stampSparse(jk)
 			}
 			c.obsScope.Exit()
 		} else {
@@ -661,15 +552,9 @@ func (c *Circuit) newton(x []float64, ctx *assembleCtx) *ConvergenceError {
 		}
 		if refresh {
 			c.obsScope.Enter(obs.PhaseFactor)
-			var err error
-			if useSparse {
-				err = c.factorSparse()
-				c.spCurrent, c.spKey = err == nil, jk
-				lu = c.spLU
-			} else {
-				err = c.nwLU.Factor(jac)
-				lu = c.nwLU
-			}
+			err := c.factorSparse()
+			c.spCurrent, c.spKey = err == nil, jk
+			lu = c.spLU
 			c.obsScope.Exit()
 			if err != nil {
 				return &ConvergenceError{Iters: iter + 1,

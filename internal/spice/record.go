@@ -15,11 +15,11 @@ import "math"
 //
 // A prefix is reused only when the record was made on the same circuit
 // under the same key: the circuit's generation (elements, device cards and
-// sparse pivot order), Step, Trap, Fast, UIC, Gmin, MaxNewton and the
-// resolved linear core. A step that needed the sub-step rescue ladder ends
-// the record, because its sources were also evaluated between grid points.
-// Device cards must change only through SetMOSDevice, and waveforms must be
-// pure functions of time. See DESIGN.md §16.
+// sparse pivot order), Step, Trap, Fast, UIC, Gmin and MaxNewton. A step
+// that needed the sub-step rescue ladder ends the record, because its
+// sources were also evaluated between grid points. Device cards must
+// change only through SetMOSDevice, and waveforms must be pure functions
+// of time. See DESIGN.md §16.
 //
 // Rows also carry every MOSFET's device-bypass point (bypass.go); a restore
 // rebuilds the cache there, so resumed steps bypass what fresh ones do.
@@ -56,7 +56,6 @@ type recordKey struct {
 	trap      bool
 	fast      bool
 	uic       bool
-	sparse    bool
 }
 
 // resume returns how many leading steps of a steps-step transient of c
@@ -68,7 +67,7 @@ func (r *TranRecord) resume(c *Circuit, opts TranOpts, steps int, x []float64) i
 	}
 	key := recordKey{
 		gen: c.gen, step: opts.Step, gmin: c.Gmin, maxNewton: c.MaxNewton,
-		trap: opts.Trap, fast: opts.Fast, uic: opts.UIC, sparse: c.useSparseCore(),
+		trap: opts.Trap, fast: opts.Fast, uic: opts.UIC,
 	}
 	if r.c != c || r.key != key || !bitsEqual(r.row(0), x) {
 		r.c, r.key, r.done = c, key, 0

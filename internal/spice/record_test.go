@@ -2,6 +2,7 @@ package spice
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -21,8 +22,7 @@ func recOpts(trap bool) TranOpts {
 }
 
 // recordBench builds an inverter driving an RC load, with vin at the input
-// and iin injected into the RC node: six unknowns, so the sparse core
-// solves it unless a test forces the dense one, and every kind of state
+// and iin injected into the RC node: six unknowns, and every kind of state
 // and source a record stores.
 func recordBench(vin, iin Waveform) (c *Circuit, vinSrc int) {
 	c = New()
@@ -115,45 +115,41 @@ func sameWaveforms(t *testing.T, what string, a, b *TranResult) {
 
 // A transient that resumes from a record equals, bit for bit on every
 // unknown, the same transient solved from t = 0, for PWL inputs diverging
-// from the recorded run at the first steps, mid-run and at the last step, under
-// both integrators and both linear cores. It reuses exactly the steps
-// before the divergence.
+// from the recorded run at the first steps, mid-run and at the last step,
+// under both integrators. It reuses exactly the steps before the
+// divergence.
 func TestTranRecordResumeBitIdentical(t *testing.T) {
-	for _, core := range []LinearCore{CoreSparse, CoreDense} {
-		for _, trap := range []bool{false, true} {
-			for _, d := range []int{0, 1, 2, recSteps / 2, recSteps} {
-				// With a record: the base run, then the divergent one.
-				c, vin := recordBench(recPulse(), recLoad())
-				c.LinearCore = core
-				var rec TranRecord
-				opts := recOpts(trap)
-				opts.Record = &rec
-				var res TranResult
-				mustTran(t, c, opts, &res)
-				if len(res.Time) != recSteps+1 {
-					t.Fatalf("%d steps, want %d", len(res.Time)-1, recSteps)
-				}
-				c.SetVSource(vin, divergeAt(d))
-				before := c.Stats().TranStepsReused
-				mustTran(t, c, opts, &res)
-				reused := c.Stats().TranStepsReused - before
+	for _, trap := range []bool{false, true} {
+		for _, d := range []int{0, 1, 2, recSteps / 2, recSteps} {
+			// With a record: the base run, then the divergent one.
+			c, vin := recordBench(recPulse(), recLoad())
+			var rec TranRecord
+			opts := recOpts(trap)
+			opts.Record = &rec
+			var res TranResult
+			mustTran(t, c, opts, &res)
+			if len(res.Time) != recSteps+1 {
+				t.Fatalf("%d steps, want %d", len(res.Time)-1, recSteps)
+			}
+			c.SetVSource(vin, divergeAt(d))
+			before := c.Stats().TranStepsReused
+			mustTran(t, c, opts, &res)
+			reused := c.Stats().TranStepsReused - before
 
-				// The same two runs on a fresh circuit without a record.
-				f, fin := recordBench(recPulse(), recLoad())
-				f.LinearCore = core
-				var want TranResult
-				mustTran(t, f, recOpts(trap), &want)
-				f.SetVSource(fin, divergeAt(d))
-				mustTran(t, f, recOpts(trap), &want)
+			// The same two runs on a fresh circuit without a record.
+			f, fin := recordBench(recPulse(), recLoad())
+			var want TranResult
+			mustTran(t, f, recOpts(trap), &want)
+			f.SetVSource(fin, divergeAt(d))
+			mustTran(t, f, recOpts(trap), &want)
 
-				sameWaveforms(t, core.String(), &res, &want)
-				if wantReused := int64(max(d-1, 0)); reused != wantReused {
-					t.Fatalf("%s trap=%v diverging at step %d: reused %d steps, want %d",
-						core, trap, d, reused, wantReused)
-				}
-				if st := f.Stats(); st.TranStepsReused != 0 {
-					t.Fatalf("run without a record reused %d steps", st.TranStepsReused)
-				}
+			what := fmt.Sprintf("trap=%v diverging at step %d", trap, d)
+			sameWaveforms(t, what, &res, &want)
+			if wantReused := int64(max(d-1, 0)); reused != wantReused {
+				t.Fatalf("%s: reused %d steps, want %d", what, reused, wantReused)
+			}
+			if st := f.Stats(); st.TranStepsReused != 0 {
+				t.Fatalf("run without a record reused %d steps", st.TranStepsReused)
 			}
 		}
 	}
@@ -173,7 +169,6 @@ func TestTranRecordKeyStopsReuse(t *testing.T) {
 		{"uic", func(_ *Circuit, o *TranOpts) { o.UIC = true }},
 		{"gmin", func(c *Circuit, _ *TranOpts) { c.Gmin = 2e-12 }},
 		{"max-newton", func(c *Circuit, _ *TranOpts) { c.MaxNewton = 149 }},
-		{"linear-core", func(c *Circuit, _ *TranOpts) { c.LinearCore = CoreDense }},
 		{"device-card", func(c *Circuit, _ *TranOpts) { c.SetMOSDevice(0, c.MOSDevice(0)) }},
 		{"element", func(c *Circuit, _ *TranOpts) { c.AddR("RX", c.Node("out"), Gnd, 1e12) }},
 		{"pivot-order", func(c *Circuit, _ *TranOpts) { c.spLU = nil }},

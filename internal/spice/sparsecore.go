@@ -1,6 +1,6 @@
 package spice
 
-// Sparse linear core: stamp-list assembly into a CSC Jacobian plus the
+// The linear core: stamp-list assembly into a CSC Jacobian plus the
 // symbolic-once sparse LU (internal/linalg/sparselu.go). The stamp map —
 // one CSC value-slot index per (element, entry) stamp site — is computed
 // once per topology; every later Jacobian pass writes its stamps straight
@@ -12,41 +12,7 @@ package spice
 // reserved slots and reuse the same symbolic factorization. See DESIGN.md
 // §9.
 
-import (
-	"os"
-
-	"vstat/internal/linalg"
-)
-
-// LinearCore selects the Jacobian factorization backend of a Circuit.
-type LinearCore int32
-
-const (
-	// CoreAuto (the zero value) defers to the VSTAT_LINEAR_CORE environment
-	// override ("dense" or "sparse"), falling back to the size heuristic:
-	// sparse at or above sparseMinN unknowns, dense below.
-	CoreAuto LinearCore = iota
-	CoreDense
-	CoreSparse
-)
-
-// String returns the benchmark-facing name of the core.
-func (lc LinearCore) String() string {
-	switch lc {
-	case CoreDense:
-		return "dense"
-	case CoreSparse:
-		return "sparse"
-	default:
-		return "auto"
-	}
-}
-
-// sparseMinN is the auto-mode cutover: below it the dense factor's tiny
-// constant beats the tape interpreter; at and above it the O(nnz) stamp +
-// tape path wins. Every benchmark unit except trivial two-node fixtures
-// sits above the cutover.
-const sparseMinN = 6
+import "vstat/internal/linalg"
 
 // spGrowthLimit bounds the element growth of a refactorization under the
 // frozen pivot order; beyond it the order is numerically degenerate for the
@@ -54,36 +20,9 @@ const sparseMinN = 6
 // allocating).
 const spGrowthLimit = 1e8
 
-// envCore is the process-wide VSTAT_LINEAR_CORE override, read once.
-var envCore = func() LinearCore {
-	switch os.Getenv("VSTAT_LINEAR_CORE") {
-	case "dense":
-		return CoreDense
-	case "sparse":
-		return CoreSparse
-	}
-	return CoreAuto
-}()
-
-// useSparseCore resolves the circuit's LinearCore knob, then the env
-// override, then the size heuristic, to a concrete backend choice.
-func (c *Circuit) useSparseCore() bool {
-	core := c.LinearCore
-	if core == CoreAuto {
-		core = envCore
-	}
-	switch core {
-	case CoreDense:
-		return false
-	case CoreSparse:
-		return true
-	}
-	return c.unknowns() >= sparseMinN
-}
-
 // stampSlots holds the precomputed CSC value slot for every stamp site, in
-// the exact order assembleSparse visits them. A slot of -1 marks a ground
-// row or column (stamp discarded, mirroring the dense addJ guard).
+// the exact order stampSparse visits them. A slot of -1 marks a ground row
+// or column (stamp discarded).
 type stampSlots struct {
 	diag []int32 // per node: (n,n) — shared by gmin, pseudo-transient, devices
 	rs   []int32 // per resistor: (a,a) (a,b) (b,a) (b,b)
@@ -180,7 +119,7 @@ func stampQuad(av []float64, q []int32, g float64) {
 	addSlot(av, q[3], g)
 }
 
-// stampSparse is the sparse core's Jacobian pass: it zeroes the CSC values
+// stampSparse is the Jacobian pass: it zeroes the CSC values
 // and stamps the linear elements and every MOSFET's bypass bundle under k
 // through the precomputed slot lists. The values depend on nothing else,
 // so a factorization made from them stays current until a bundle is
@@ -279,13 +218,14 @@ func (c *Circuit) factorSparse() error {
 	return c.spLU.Refactor(c.sp)
 }
 
-// MatrixInfo reports the MNA system size, the Jacobian's structural
-// nonzero count (building the stamp map if needed), and whether the
-// resolved linear core is sparse — the numbers cmd/vsbench records next to
-// its per-unit timings.
+// MatrixInfo reports the MNA system size and the Jacobian's structural
+// nonzero count (building the stamp map if needed), the numbers
+// cmd/vsbench and the benchmark record next to their timings. sparse is
+// always true: the sparse core is the only linear core. The result stays
+// because the benchmark's workloads read all three values.
 func (c *Circuit) MatrixInfo() (n, nnz int, sparse bool) {
 	if !c.spReady {
 		c.buildStampMap()
 	}
-	return c.unknowns(), c.sp.NNZ(), c.useSparseCore()
+	return c.unknowns(), c.sp.NNZ(), true
 }

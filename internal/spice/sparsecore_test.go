@@ -3,16 +3,16 @@ package spice
 import (
 	"fmt"
 	"math"
-	"os"
 	"testing"
 
 	"vstat/internal/device"
+	"vstat/internal/linalg"
 	"vstat/internal/vsmodel"
 )
 
 // testInvChain nets `stages` VS-model inverters in series behind a pulse
 // source with per-stage load caps: stages+2 node voltages plus two branch
-// currents, enough unknowns to clear the auto-mode sparse cutover.
+// currents.
 func testInvChain(stages int) (c *Circuit, out int) {
 	c = New()
 	vdd := c.Node("vdd")
@@ -74,59 +74,11 @@ func TestSparseAssembleMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSparseCoreTransientMatchesDense: the same netlist solved with the
-// dense and the sparse core must agree at the operating point and along the
-// whole transient waveform to well within the Newton tolerance band.
-func TestSparseCoreTransientMatchesDense(t *testing.T) {
-	cd, outD := testInvChain(3)
-	cd.LinearCore = CoreDense
-	cs, outS := testInvChain(3)
-	cs.LinearCore = CoreSparse
-
-	opD, err := cd.OP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opS, err := cs.OP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range opD.x {
-		if d := math.Abs(opD.x[i] - opS.x[i]); d > 1e-8 {
-			t.Fatalf("OP unknown %d differs by %g between cores", i, d)
-		}
-	}
-
-	opts := TranOpts{Stop: 300e-12, Step: 1e-12}
-	rd, err := cd.Transient(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := cs.Transient(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vd, vs := rd.V(outD), rs.V(outS)
-	if len(vd) != len(vs) {
-		t.Fatalf("step counts differ: %d vs %d", len(vd), len(vs))
-	}
-	worst := 0.0
-	for k := range vd {
-		if d := math.Abs(vd[k] - vs[k]); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-6 {
-		t.Fatalf("sparse waveform deviates by %g V from dense", worst)
-	}
-}
-
 // TestSparseTransientAllocFree: after the warmup run (which builds the
-// stamp map and the symbolic factorization), repeated transients on the
-// sparse core must allocate nothing — the same contract the dense path has.
+// stamp map and the symbolic factorization), repeated transients must
+// allocate nothing.
 func TestSparseTransientAllocFree(t *testing.T) {
 	c, _ := testInvChain(3)
-	c.LinearCore = CoreSparse
 	opts := TranOpts{Stop: 100e-12, Step: 1e-12}
 	var res TranResult
 	if err := c.TransientInto(opts, &res); err != nil {
@@ -161,7 +113,6 @@ func TestSparseTransientAllocFree(t *testing.T) {
 // topology, not once per sample.
 func TestSparseSymbolicSurvivesDeviceSwap(t *testing.T) {
 	c, out := testInvChain(3)
-	c.LinearCore = CoreSparse
 	x := make([]float64, c.unknowns())
 	if err := c.solveOPInto(x, nil, true); err != nil {
 		t.Fatal(err)
@@ -240,10 +191,9 @@ func growthNetlist() (c *Circuit, n1, n2 int) {
 // after a device re-stamp drives the frozen pivot order numerically
 // degenerate (Growth > spGrowthLimit), the core must re-run the symbolic
 // analysis — counted in SolverStats.SparseRepivots — and still deliver the
-// dense core's solution.
+// solution a dense LU gives the same stamped system.
 func TestSparseGrowthTriggersRepivot(t *testing.T) {
 	c, n1, n2 := growthNetlist()
-	c.LinearCore = CoreSparse
 	if _, err := c.OP(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,43 +212,21 @@ func TestSparseGrowthTriggersRepivot(t *testing.T) {
 		t.Fatalf("SparseRepivots = %d after a degenerate re-stamp, want >= 1", got)
 	}
 
-	// The recovered factorization must match the dense core on the same
-	// final values.
-	cd, d1, d2 := growthNetlist()
-	cd.LinearCore = CoreDense
-	cd.SetMOSDevice(1, &linCond{G: -2 + 1e-12})
-	ref, err := cd.OP()
+	// The recovered factorization must match a dense LU of the same
+	// stamped system. The circuit is linear, so one Newton step from x = 0,
+	// x = -J⁻¹·F(0), is its operating point.
+	n := c.unknowns()
+	f := make([]float64, n)
+	jac := newZeroMatrix(n)
+	c.assemble(make([]float64, n), f, jac, &assembleCtx{srcScale: 1}, true)
+	lu, err := linalg.NewLU(jac)
 	if err != nil {
-		t.Fatalf("dense reference OP: %v", err)
+		t.Fatalf("dense reference LU: %v", err)
 	}
-	for _, nd := range [][2]int{{n1, d1}, {n2, d2}} {
-		if d := math.Abs(op.V(nd[0]) - ref.V(nd[1])); d > 1e-6 {
-			t.Fatalf("sparse node voltage differs from dense by %g V after repivot", d)
+	dx := lu.Solve(f)
+	for _, nd := range []int{n1, n2} {
+		if d := math.Abs(op.V(nd) + dx[nd]); d > 1e-6 {
+			t.Fatalf("sparse node voltage differs from the dense LU solution by %g V after repivot", d)
 		}
-	}
-}
-
-// TestLinearCoreAutoCutover pins the auto-mode resolution: tiny systems
-// stay dense, benchmark-sized systems go sparse, and the explicit knob
-// overrides both.
-func TestLinearCoreAutoCutover(t *testing.T) {
-	if os.Getenv("VSTAT_LINEAR_CORE") != "" {
-		t.Skip("VSTAT_LINEAR_CORE override active")
-	}
-	small, _ := testInverter() // 5 unknowns
-	if small.useSparseCore() {
-		t.Fatalf("auto picked sparse for n=%d, cutover is %d", small.unknowns(), sparseMinN)
-	}
-	big, _ := testInvChain(3) // 7 unknowns
-	if !big.useSparseCore() {
-		t.Fatalf("auto picked dense for n=%d, cutover is %d", big.unknowns(), sparseMinN)
-	}
-	small.LinearCore = CoreSparse
-	if !small.useSparseCore() {
-		t.Fatal("CoreSparse knob ignored")
-	}
-	big.LinearCore = CoreDense
-	if big.useSparseCore() {
-		t.Fatal("CoreDense knob ignored")
 	}
 }
