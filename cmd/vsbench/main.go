@@ -41,6 +41,7 @@ import (
 	obstrace "vstat/internal/obs/trace"
 	"vstat/internal/shard"
 	"vstat/internal/spice"
+	"vstat/internal/stats"
 	"vstat/internal/variation"
 	"vstat/internal/vsmodel"
 )
@@ -143,21 +144,26 @@ type benchFile struct {
 // first-order derivative, internal series-resistance solve included).
 // Lanes 1 times one device through EvalDerivs4, a group of one; lanes 4
 // times EvalDerivsLanes on groups of four devices, the grouped path circuit
-// assemblies take, and NsPerEval is then per bundle.
+// assemblies take, and the ns figures are then per bundle. A row times
+// Passes passes of EvalsPerPass evaluations; NsPerEval is the median pass
+// and NsPerEvalQ1/Q3 the quartiles.
 type modelEvalRecord struct {
-	Lanes       int     `json:"lanes"`
-	Evals       int64   `json:"evals"`
-	NsPerEval   float64 `json:"ns_per_eval"`
-	EvalsPerSec float64 `json:"evals_per_sec"`
+	Lanes        int     `json:"lanes"`
+	Passes       int     `json:"passes"`
+	EvalsPerPass int     `json:"evals_per_pass"`
+	NsPerEval    float64 `json:"ns_per_eval"`
+	NsPerEvalQ1  float64 `json:"ns_per_eval_q1"`
+	NsPerEvalQ3  float64 `json:"ns_per_eval_q3"`
+	EvalsPerSec  float64 `json:"evals_per_sec"`
 }
 
-// measureModelEval times nEvals VS derivative-bundle evaluations over a
-// fixed gate/drain bias grid on Pelgrom-perturbed statistical instances of
-// the 40-nm NMOS card, bound (vsmodel.Instance) as the circuit factories
-// bind every device. With lanes 1 one instance evaluates the grid point
-// after point; with lanes up to device.LaneWidth that many instances
+// modelEvalRun returns a function that evaluates n VS derivative bundles
+// over a fixed gate/drain bias grid on Pelgrom-perturbed statistical
+// instances of the 40-nm NMOS card, bound (vsmodel.Instance) as the circuit
+// factories bind every device. With lanes 1 one instance evaluates the grid
+// point after point; with lanes up to device.LaneWidth that many instances
 // evaluate consecutive grid points together, one per lane.
-func measureModelEval(vdd float64, nEvals, lanes int) modelEvalRecord {
+func modelEvalRun(vdd float64, lanes int) func(n int) {
 	rng := rand.New(rand.NewSource(40613))
 	p := vsmodel.NMOS40(300e-9).WithGeometry(300e-9, 40e-9)
 	group := make([]device.Lane, lanes)
@@ -203,19 +209,38 @@ func measureModelEval(vdd float64, nEvals, lanes int) modelEvalRecord {
 		}
 	}
 	run(len(bias)) // warm up (branch predictors)
+	return run
+}
+
+// measureModelEval times the one-lane and the device.LaneWidth-lane rows in
+// passes passes of evals evaluations each. The rows alternate pass by pass,
+// so a change in host load reaches both, and each row reports its median
+// pass with the quartiles beside it.
+func measureModelEval(vdd float64, evals, passes int) []modelEvalRecord {
+	widths := []int{1, device.LaneWidth}
+	runs := make([]func(int), len(widths))
+	ns := make([][]float64, len(widths))
+	for i, w := range widths {
+		runs[i] = modelEvalRun(vdd, w)
+	}
 	runtime.GC()
-	t0 := time.Now()
-	run(nEvals)
-	rec := modelEvalRecord{
-		Lanes:     lanes,
-		Evals:     int64(nEvals),
-		NsPerEval: float64(time.Since(t0).Nanoseconds()) / float64(nEvals),
+	for range passes {
+		for i, run := range runs {
+			t0 := time.Now()
+			run(evals)
+			ns[i] = append(ns[i], float64(time.Since(t0).Nanoseconds())/float64(evals))
+		}
 	}
-	if rec.NsPerEval > 0 {
-		rec.EvalsPerSec = 1e9 / rec.NsPerEval
+	recs := make([]modelEvalRecord, len(widths))
+	for i, w := range widths {
+		q := stats.Quantiles(ns[i], []float64{0.25, 0.5, 0.75})
+		recs[i] = modelEvalRecord{
+			Lanes: w, Passes: passes, EvalsPerPass: evals,
+			NsPerEvalQ1: q[0], NsPerEval: q[1], NsPerEvalQ3: q[2],
+			EvalsPerSec: 1e9 / q[1],
+		}
 	}
-	_ = sink
-	return rec
+	return recs
 }
 
 // statsPool collects solver-counter readers from the per-worker templates so
@@ -1018,11 +1043,12 @@ func main() {
 	if *modelB {
 		// Raw model microbench: the derivative bundle, so BENCH_mc.json
 		// records the VS evaluation cost independent of solver and circuit
-		// effects, one device at a time and in groups of four.
-		for _, lanes := range []int{1, device.LaneWidth} {
-			rec := measureModelEval(*vdd, 200_000, lanes)
-			fmt.Printf("model-eval  lanes %d  %8.1f ns/eval  %10.0f evals/sec\n", lanes, rec.NsPerEval, rec.EvalsPerSec)
-			doc.ModelEval = append(doc.ModelEval, rec)
+		// effects, one device at a time and in groups of four, each the
+		// median of 15 passes of 40,000 evaluations.
+		doc.ModelEval = measureModelEval(*vdd, 40_000, 15)
+		for _, rec := range doc.ModelEval {
+			fmt.Printf("model-eval  lanes %d  %8.1f ns/eval (quartiles %.1f–%.1f)  %10.0f evals/sec\n",
+				rec.Lanes, rec.NsPerEval, rec.NsPerEvalQ1, rec.NsPerEvalQ3, rec.EvalsPerSec)
 		}
 	}
 
