@@ -26,13 +26,6 @@ func (m *CMatrix) Add(i, j int, v complex128) { m.Data[i*m.Cols+j] += v }
 // Row returns a view of row i.
 func (m *CMatrix) Row(i int) []complex128 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Zero clears the matrix in place.
-func (m *CMatrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // CLU is an LU factorization with partial pivoting of a complex matrix.
 type CLU struct {
 	lu  *CMatrix

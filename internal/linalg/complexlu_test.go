@@ -66,8 +66,4 @@ func TestCMatrixOps(t *testing.T) {
 	if len(m.Row(1)) != 2 {
 		t.Fatal("Row")
 	}
-	m.Zero()
-	if m.At(0, 1) != 0 {
-		t.Fatal("Zero")
-	}
 }

@@ -5,9 +5,8 @@ import "math"
 // LU holds an LU factorization with partial pivoting: P*A = L*U.
 // L has a unit diagonal and is stored, together with U, in lu.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int // determinant sign from row swaps
+	lu  *Matrix
+	piv []int
 }
 
 // NewLU factors the square matrix a (which is not modified).
@@ -18,7 +17,7 @@ func NewLU(a *Matrix) (*LU, error) {
 		panic("linalg: LU of non-square matrix")
 	}
 	n := a.Rows
-	f := &LU{lu: a.Clone(), piv: make([]int, n), sign: 1}
+	f := &LU{lu: a.Clone(), piv: make([]int, n)}
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -41,7 +40,6 @@ func NewLU(a *Matrix) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -70,15 +68,6 @@ func (f *LU) Solve(b []float64) []float64 {
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
-	f.SolveInPlace(x)
-	return x
-}
-
-// SolveInPlace solves A x = b where b is already permuted by piv (as done by
-// Solve); it is exposed for the hot path in the circuit simulator which
-// manages its own permuted buffer via SolvePermuting.
-func (f *LU) SolveInPlace(x []float64) {
-	n := f.lu.Rows
 	lu := f.lu
 	// Forward substitution with unit-lower L.
 	for i := 1; i < n; i++ {
@@ -98,30 +87,7 @@ func (f *LU) SolveInPlace(x []float64) {
 		}
 		x[i] = s / ri[i]
 	}
-}
-
-// SolvePermuting permutes b by the pivot order into scratch (which must have
-// length n), solves in place, and returns scratch. It performs no
-// allocations, for use in Newton inner loops.
-func (f *LU) SolvePermuting(b, scratch []float64) []float64 {
-	n := f.lu.Rows
-	if len(b) != n || len(scratch) != n {
-		panic("linalg: SolvePermuting dimension mismatch")
-	}
-	for i := 0; i < n; i++ {
-		scratch[i] = b[f.piv[i]]
-	}
-	f.SolveInPlace(scratch)
-	return scratch
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
+	return x
 }
 
 // SolveLinear factors a and solves a single system in one call.
@@ -131,29 +97,4 @@ func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b), nil
-}
-
-// Inverse returns the inverse of a, or ErrSingular. The n unit-vector
-// solves share one RHS buffer through SolvePermuting, so the allocation
-// count is a small constant independent of n.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	scratch := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col := f.SolvePermuting(e, scratch)
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }

@@ -1,6 +1,7 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
 // statistical VS model tool chain: matrices, LU and QR factorizations,
-// Cholesky, a symmetric eigensolver, and non-negative least squares.
+// a symmetric eigensolver, non-negative least squares, and the sparse LU
+// of the circuit simulator's MNA Jacobians.
 //
 // Everything is implemented from scratch on float64 slices (the Go standard
 // library has no linear algebra), sized for the problems in this repository:
@@ -13,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Matrix is a dense, row-major matrix of float64.
@@ -94,29 +94,6 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
-// Mul returns m*b as a new matrix.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k := 0; k < m.Cols; k++ {
-			a := mi[k]
-			if a == 0 {
-				continue
-			}
-			bk := b.Row(k)
-			for j := range oi {
-				oi[j] += a * bk[j]
-			}
-		}
-	}
-	return out
-}
-
 // MulVec returns m*x as a new vector.
 func (m *Matrix) MulVec(x []float64) []float64 {
 	if m.Cols != len(x) {
@@ -154,18 +131,6 @@ func (m *Matrix) AddMatrix(b *Matrix) *Matrix {
 	return out
 }
 
-// SubMatrix returns m-b as a new matrix.
-func (m *Matrix) SubMatrix(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: SubMatrix dimension mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= b.Data[i]
-	}
-	return out
-}
-
 // MaxAbs returns the largest absolute element value (0 for empty matrices).
 func (m *Matrix) MaxAbs() float64 {
 	max := 0.0
@@ -175,18 +140,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return max
-}
-
-// String formats the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			fmt.Fprintf(&b, "% .6e ", m.At(i, j))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // ErrSingular is returned when a factorization meets an (effectively)
@@ -235,16 +188,6 @@ func NormInf(v []float64) float64 {
 		}
 	}
 	return m
-}
-
-// AXPY computes y += a*x in place.
-func AXPY(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range x {
-		y[i] += a * x[i]
-	}
 }
 
 // VecClone returns a copy of v.

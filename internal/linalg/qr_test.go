@@ -74,57 +74,3 @@ func TestQRNormalEquationsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCholeskySolveProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(6)
-		// Build SPD: BᵀB + I.
-		b := randomMatrix(rng, n)
-		a := b.T().Mul(b)
-		for i := 0; i < n; i++ {
-			a.Add(i, i, 1)
-		}
-		ch, err := NewCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		rhs := a.MulVec(x)
-		got := ch.Solve(rhs)
-		for i := range x {
-			if !almostEq(got[i], x[i], 1e-9) {
-				t.Fatalf("Cholesky solve mismatch: got %v want %v", got, x)
-			}
-		}
-		// L Lᵀ must reconstruct a.
-		l := ch.L()
-		rec := l.Mul(l.T())
-		if rec.SubMatrix(a).MaxAbs() > 1e-9*(1+a.MaxAbs()) {
-			t.Fatal("L*Lᵀ does not reconstruct A")
-		}
-	}
-}
-
-func TestCholeskyNotPD(t *testing.T) {
-	a := NewMatrixFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := NewCholesky(a); err == nil {
-		t.Fatal("expected ErrSingular for indefinite matrix")
-	}
-}
-
-func TestCholeskyColoring(t *testing.T) {
-	a := NewMatrixFromRows([][]float64{{4, 2}, {2, 3}})
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := ch.MulLVec([]float64{1, 0})
-	// First column of L is (2, 1).
-	if !almostEq(v[0], 2, 1e-12) || !almostEq(v[1], 1, 1e-12) {
-		t.Fatalf("MulLVec got %v", v)
-	}
-}

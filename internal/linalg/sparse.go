@@ -42,8 +42,8 @@ func (s *Sparse) At(i, j int) float64 {
 	return 0
 }
 
-// Dense expands the matrix to dense form (tests and the dense-fallback
-// comparisons).
+// Dense expands the matrix to dense form, for the tests that hold the
+// sparse LU and the sparse Jacobian pass to dense references.
 func (s *Sparse) Dense() *Matrix {
 	m := NewMatrix(s.N, s.N)
 	for j := 0; j < s.N; j++ {
@@ -52,20 +52,6 @@ func (s *Sparse) Dense() *Matrix {
 		}
 	}
 	return m
-}
-
-// MaxAbs returns the largest absolute stored value.
-func (s *Sparse) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range s.Val {
-		if v < 0 {
-			v = -v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // SparseBuilder collects matrix positions (with repeats) in stamp order and
@@ -98,9 +84,6 @@ func (b *SparseBuilder) Add(row, col int) int {
 	b.cols = append(b.cols, int32(col))
 	return len(b.rows) - 1
 }
-
-// Sites returns the number of registered stamp sites.
-func (b *SparseBuilder) Sites() int { return len(b.rows) }
 
 // Build compresses the registered sites into a CSC matrix (values zeroed)
 // and returns, for each site index in Add order, the slot in Val that site

@@ -325,14 +325,6 @@ func (f *SparseLU) Refactor(a *Sparse) error {
 // for the current values — the caller should re-Analyze.
 func (f *SparseLU) Growth() float64 { return f.growth }
 
-// N returns the matrix dimension.
-func (f *SparseLU) N() int { return f.n }
-
-// FlopEstimate returns the number of fused multiply-subtract update ops per
-// refactor — the sparse counterpart of the dense n³/3 figure, for perf
-// records.
-func (f *SparseLU) FlopEstimate() int { return len(f.updT) }
-
 // SolvePermuting solves A x = b using the current factors: b is permuted by
 // the pivot row order into an internal buffer, the static triangular solves
 // run in place, and the column permutation scatters the solution into

@@ -362,55 +362,3 @@ func TestSparseBuilderSlots(t *testing.T) {
 		}
 	}
 }
-
-// TestInverseAllocsIndependentOfN: the RHS-buffer reuse in Inverse keeps the
-// allocation count a small constant rather than n allocations for the n
-// unit-vector solves.
-func TestInverseAllocsIndependentOfN(t *testing.T) {
-	alloc := func(n int) float64 {
-		a := NewMatrix(n, n)
-		rng := rand.New(rand.NewSource(int64(n)))
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+float64(n)) // diagonally dominant
-		}
-		return testing.AllocsPerRun(20, func() {
-			if _, err := Inverse(a); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	small, large := alloc(4), alloc(64)
-	if large != small {
-		t.Fatalf("Inverse allocs grew with n: %0.f at n=4 vs %0.f at n=64 (per-column RHS allocation regressed)",
-			small, large)
-	}
-	// And it is still an inverse.
-	n := 12
-	a := NewMatrix(n, n)
-	rng := rand.New(rand.NewSource(5))
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	for i := 0; i < n; i++ {
-		a.Set(i, i, a.At(i, i)+float64(n))
-	}
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod := a.Mul(inv)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(prod.At(i, j)-want) > 1e-10 {
-				t.Fatalf("A*inv(A)[%d,%d] = %g", i, j, prod.At(i, j))
-			}
-		}
-	}
-}

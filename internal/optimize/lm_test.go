@@ -85,46 +85,6 @@ func TestLMNoisyFitRecoversApproximately(t *testing.T) {
 	}
 }
 
-func TestNelderMeadQuadratic(t *testing.T) {
-	f := func(x []float64) float64 {
-		return (x[0]-1)*(x[0]-1) + 10*(x[1]+2)*(x[1]+2)
-	}
-	x, v := NelderMead(f, []float64{5, 5}, NMOptions{})
-	if math.Abs(x[0]-1) > 1e-5 || math.Abs(x[1]+2) > 1e-5 {
-		t.Fatalf("NM got %v (f=%g)", x, v)
-	}
-}
-
-func TestNelderMeadRosenbrock(t *testing.T) {
-	f := func(x []float64) float64 {
-		a := 1 - x[0]
-		b := x[1] - x[0]*x[0]
-		return a*a + 100*b*b
-	}
-	x, v := NelderMead(f, []float64{-1.2, 1}, NMOptions{MaxIter: 20000})
-	if v > 1e-8 {
-		t.Fatalf("NM Rosenbrock got %v (f=%g)", x, v)
-	}
-}
-
-func TestBisect(t *testing.T) {
-	root, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Sqrt2) > 1e-10 {
-		t.Fatalf("bisect %g", root)
-	}
-	if _, err := Bisect(func(x float64) float64 { return 1 }, 0, 1, 1e-6); err != ErrNoBracket {
-		t.Fatalf("expected ErrNoBracket, got %v", err)
-	}
-	// Endpoint roots.
-	r, err := Bisect(func(x float64) float64 { return x }, 0, 1, 1e-9)
-	if err != nil || r != 0 {
-		t.Fatalf("endpoint root %g %v", r, err)
-	}
-}
-
 func TestBrent(t *testing.T) {
 	root, err := Brent(func(x float64) float64 { return math.Cos(x) - x }, 0, 1, 1e-14)
 	if err != nil {
@@ -135,12 +95,5 @@ func TestBrent(t *testing.T) {
 	}
 	if _, err := Brent(func(x float64) float64 { return 1 + x*x }, -1, 1, 1e-9); err != ErrNoBracket {
 		t.Fatalf("expected ErrNoBracket, got %v", err)
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	min := GoldenSection(func(x float64) float64 { return (x - 1.7) * (x - 1.7) }, -10, 10, 1e-10)
-	if math.Abs(min-1.7) > 1e-8 {
-		t.Fatalf("golden %g", min)
 	}
 }

@@ -9,36 +9,6 @@ import (
 // change on the given interval.
 var ErrNoBracket = errors.New("optimize: interval does not bracket a root")
 
-// Bisect finds a root of f on [a, b] (f(a) and f(b) of opposite sign) to the
-// absolute tolerance tol. It is used by pass/fail searches such as setup and
-// hold time extraction, where f is a ±1 pass/fail indicator and robustness
-// matters more than order of convergence.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, ErrNoBracket
-	}
-	for i := 0; i < 200 && math.Abs(b-a) > tol; i++ {
-		m := 0.5 * (a + b)
-		fm := f(m)
-		if fm == 0 {
-			return m, nil
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return 0.5 * (a + b), nil
-}
-
 // Brent finds a root of f on a bracketing interval [a, b] using Brent's
 // method (inverse quadratic interpolation with bisection fallback).
 func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
@@ -103,25 +73,4 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 		}
 	}
 	return b, nil
-}
-
-// GoldenSection minimizes a unimodal f on [a, b] to tolerance tol and
-// returns the minimizer.
-func GoldenSection(f func(float64) float64, a, b, tol float64) float64 {
-	const invPhi = 0.6180339887498949
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for math.Abs(b-a) > tol {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return 0.5 * (a + b)
 }
