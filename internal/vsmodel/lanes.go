@@ -196,7 +196,10 @@ func (l *laneSolve) step() bool {
 }
 
 // at sets the current of the round's core evaluation and its internal
-// bias, and counts the evaluation.
+// bias, and counts the evaluation. The root lies below vds/(Rs+Rd), where
+// the core current vanishes, but an iterate can pass it when Rs+Rd exceeds
+// the channel resistance (deep linear region, TestSeriesSolveReachesClamp);
+// vdsi and its slope then clamp at zero.
 func (l *laneSolve) at(i float64) {
 	rs, rd := l.in.rs, l.in.rd
 	l.x = i

@@ -358,6 +358,56 @@ func seriesSeeds() []seriesCase {
 	return cs
 }
 
+// clampCase is a FuzzSeriesSolve seed whose solve evaluates the core at a
+// current above vds/(Rs+Rd), where the internal drain bias clamps at zero
+// (laneSolve.at): a 0.75 µm NMOS card with strong drive (ΔVT0 −0.12 V,
+// ΔL −3 nm, Δµ +14.7%, ΔCinv +2.9%) and Rs0, Rd0 scaled 2.97×, in the deep
+// linear region at Vgs 0.988 V, Vds 0.2 V. Its channel resistance there is
+// below Rs+Rd, so the bracket's upper end F(0) lies above vds/(Rs+Rd).
+var clampCase = seriesCase{w: 0.5, dw: 0.5, dmu: 0.99, dcinv: 0.99, rsc: 0.99, vgs: 0.99, vds: 0.2}
+
+// TestSeriesSolveReachesClamp steps clampCase's solve round by round, as
+// solveLanes does for one lane, and requires a round that evaluates the
+// core above vds/(Rs+Rd) with the internal drain bias and its slope
+// clamped at zero. The solve must still end within its tolerance of the
+// bisection root, in the state of the one-device form, solveSeriesD.
+func TestSeriesSolveReachesClamp(t *testing.T) {
+	p := clampCase.card()
+	vgs, vds, vbs := clampCase.bias()
+	in := p.Bind()
+	var ls [1]laneSolve
+	l := &ls[0]
+	l.in, l.b, l.first = in, bias{vgs: vgs, vds: vds, vbs: vbs}, true
+	l.at(0)
+	iMax := vds / (in.rs + in.rd)
+	clamped := 0
+	for {
+		if l.x > iMax {
+			if l.vdsi != 0 || l.dvd != 0 {
+				t.Fatalf("evaluation at %g A, above vds/(Rs+Rd) = %g A, has vdsi %g and dvdsi/dI %g, want 0",
+					l.x, iMax, l.vdsi, l.dvd)
+			}
+			clamped++
+		}
+		core(ls[:], []int{0})
+		if !l.step() {
+			break
+		}
+	}
+	if clamped == 0 {
+		t.Fatalf("no evaluation of %d passed vds/(Rs+Rd) = %g A", l.st.evals, iMax)
+	}
+	ref := bisectSeries(&p, vgs, vds, vbs)
+	if err := math.Abs(l.st.id - ref.id); err > ref.tol {
+		t.Fatalf("I %g vs root %g: error %.3g tol", l.st.id, ref.id, err/ref.tol)
+	}
+	var want seriesState
+	in.solveSeriesD(vgs, vds, vbs, &want)
+	if !sameState(&l.st, &want) {
+		t.Fatalf("lane solve state %+v, one-device solve %+v", l.st, want)
+	}
+}
+
 // unit folds a fuzzed float into [0, 1); NaN and ±Inf report false.
 func unit(x float64) (float64, bool) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -375,7 +425,7 @@ func unit(x float64) (float64, bool) {
 // (qixo relative to itself, Fsat absolute). Eval must equal EvalDerivs4's
 // values bit for bit, on Weff ≤ 0 cards too.
 func FuzzSeriesSolve(f *testing.F) {
-	for _, c := range seriesSeeds() {
+	for _, c := range append(seriesSeeds(), clampCase) {
 		f.Add(c.kind, c.w, c.dvt, c.dl, c.dw, c.dmu, c.dcinv, c.rsc, c.vgs, c.vbs, c.vds)
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, w, dvt, dl, dw, dmu, dcinv, rsc, vgs, vbs, vds float64) {
