@@ -147,10 +147,19 @@ numerics:
 
 # Untrusted-decoder rung: the SPICE-subset netlist parser that
 # cmd/spicecli reads decks with returns an error and never panics — its
-# error decks and the seeded FuzzParseNetlist cases, then a short fuzz.
+# error decks and the seeded FuzzParseNetlist cases, then a short fuzz —
+# and the shard dispatch journal's decoder (OpenJournal, readRecord,
+# Replay), which a resumed coordinator reads its journal with, never panics
+# and replays only valid envelopes, the same ones again on reopen: the
+# seeded FuzzJournalOpen cases, then a short fuzz. FuzzJournalOpen caps
+# input minimization at 100 runs: each run writes, opens and fsyncs a
+# journal twice, so the default 60 s minimization of a new input would use
+# the whole 10 s.
 decode:
 	$(GO) test -count=1 -run 'TestParseNetlist|FuzzParseNetlist' ./internal/spice/
 	$(GO) test -run xxx -fuzz FuzzParseNetlist -fuzztime 10s ./internal/spice/
+	$(GO) test -count=1 -run 'FuzzJournalOpen' ./internal/shard/
+	$(GO) test -run xxx -fuzz FuzzJournalOpen -fuzztime 10s -fuzzminimizetime 100x ./internal/shard/
 
 # Tier 2: the race detector over the full tree, including the pooled
 # parallel Monte Carlo engine.

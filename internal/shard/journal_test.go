@@ -2,15 +2,19 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"vstat/internal/montecarlo"
 	"vstat/internal/obs"
 )
 
@@ -462,4 +466,89 @@ func TestJournalAppendFailureFailsRun(t *testing.T) {
 	if errors.Is(err, context.Canceled) {
 		t.Fatalf("journal failure masked as cancellation: %v", err)
 	}
+}
+
+// journalLine frames env as one journal record line, CRC included, the
+// way Append writes it.
+func journalLine(t testing.TB, env any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := json.Marshal(journalRecord{CRC: crc32.ChecksumIEEE(raw), Env: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(line, '\n')
+}
+
+// FuzzJournalOpen feeds the journal decoder (OpenJournal, readRecord and
+// Replay) a valid header followed by arbitrary bytes. It must never panic,
+// every envelope Replay returns must pass Envelope.Validate for its shard,
+// and reopening the file, which the first open truncated to its durable
+// prefix, must restore the same envelopes.
+func FuzzJournalOpen(f *testing.F) {
+	cfg := Config{N: 10, Seed: 1, ConfigHash: testHash, ShardSize: 4}
+	shard0 := Envelope[float64]{Version: EnvelopeVersion, ConfigHash: testHash, N: 10,
+		Shard: 0, Lo: 0, Hi: 4, Results: []float64{1, 2, 3, 4}, Attempted: 4}
+	shard2 := Envelope[float64]{Version: EnvelopeVersion, ConfigHash: testHash, N: 10,
+		Shard: 2, Lo: 8, Hi: 10, Results: []float64{5, 0}, Attempted: 2,
+		Failures: []montecarlo.RecordedFailure{{Idx: 9, Msg: "no convergence"}},
+		Rescued:  map[string]int64{"dc-gmin": 1}}
+	foreign := shard0
+	foreign.ConfigHash = "other"
+	past := shard2
+	past.Shard = 3
+	good := append(journalLine(f, shard0), journalLine(f, shard2)...)
+	crc := journalLine(f, shard2)
+	crc[8] ^= 1 // a CRC digit
+	for _, seed := range [][]byte{
+		nil,
+		good,
+		good[:len(good)-20],
+		append(journalLine(f, shard0), crc...),
+		append(journalLine(f, foreign), journalLine(f, past)...),
+		append(journalLine(f, "not an envelope"), good...),
+		[]byte("{\"crc\":0,\"env\":null}\n"),
+		[]byte("garbage\n\n{}\n"),
+	} {
+		f.Add(seed)
+	}
+	hdr, err := json.Marshal(headerFor(cfg))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		path := filepath.Join(t.TempDir(), "run.journal.json")
+		if err := os.WriteFile(path, append(append(hdr[:len(hdr):len(hdr)], '\n'), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		replay := func() []*Envelope[float64] {
+			jnl, err := OpenJournal[float64](path, cfg)
+			if err != nil {
+				t.Fatalf("open with a valid header: %v", err)
+			}
+			defer jnl.Close()
+			var envs []*Envelope[float64]
+			if _, err := jnl.Replay(func(env *Envelope[float64]) error {
+				lo, hi, ok := shardRange(cfg.N, cfg.ShardSize, env.Shard)
+				if !ok {
+					t.Fatalf("replayed shard %d is out of range", env.Shard)
+				}
+				if err := env.Validate(cfg.ConfigHash, cfg.N, lo, hi); err != nil {
+					t.Fatalf("replayed an invalid envelope: %v", err)
+				}
+				envs = append(envs, env)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return envs
+		}
+		first := replay()
+		if again := replay(); !reflect.DeepEqual(first, again) {
+			t.Fatalf("reopening restored %d envelopes %+v, first open %d %+v", len(again), again, len(first), first)
+		}
+	})
 }
