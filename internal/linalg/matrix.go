@@ -1,4 +1,4 @@
-// Package linalg provides the small dense linear-algebra kernel used by the
+// Package linalg provides the small linear-algebra kernel used by the
 // statistical VS model tool chain: matrices, LU and QR factorizations,
 // a symmetric eigensolver, non-negative least squares, and the sparse LU
 // of the circuit simulator's MNA Jacobians.

@@ -15,9 +15,9 @@ import "math"
 // then replays the tape over fresh values — no pivot search, no pattern
 // work, no allocation — and the triangular solves walk the same static
 // slots. On the benchmark circuits the tape is a few hundred fused ops
-// against the dense path's O(n³/3) factor plus O(n²) copy/zero traffic.
+// against a dense LU's O(n³/3) factor plus O(n²) copy/zero traffic.
 //
-// Pivot health mirrors the dense path's ErrSingular contract: a refactor
+// Pivot health follows dense LU's ErrSingular contract: a refactor
 // meeting an exactly-zero pivot returns ErrSingular, and Growth reports the
 // largest multiplier magnitude of the last refactor so callers can detect a
 // numerically degenerate (but nonzero) static pivot order and re-run Analyze
@@ -328,8 +328,8 @@ func (f *SparseLU) Growth() float64 { return f.growth }
 // SolvePermuting solves A x = b using the current factors: b is permuted by
 // the pivot row order into an internal buffer, the static triangular solves
 // run in place, and the column permutation scatters the solution into
-// scratch (which must have length n) in original unknown order. It matches
-// the dense LU.SolvePermuting contract: no allocations, scratch returned.
+// scratch (which must have length n) in original unknown order, and
+// returns scratch. It performs no allocations.
 func (f *SparseLU) SolvePermuting(b, scratch []float64) []float64 {
 	n := f.n
 	if len(b) != n || len(scratch) != n {

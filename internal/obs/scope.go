@@ -18,7 +18,7 @@ const (
 	PhaseDraw       Phase = iota // sample-draw: RNG + parameter vector
 	PhaseRestamp                 // re-stamp: pooled circuit Restat
 	PhaseAssemble                // assemble-J: residual and Jacobian stamping
-	PhaseFactor                  // lu-factor: LU refresh (dense Factor / sparse Refactor)
+	PhaseFactor                  // lu-factor: sparse LU refactor (and re-analysis on a re-pivot)
 	PhaseTriSolve                // tri-solve: forward/back substitution per Newton iter
 	PhaseSolve                   // newton-solve: the solver proper (minus the above)
 	PhaseMeasure                 // measure: waveform/metric extraction
