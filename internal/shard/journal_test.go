@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -515,13 +516,14 @@ func FuzzJournalOpen(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	hdr, err := json.Marshal(headerFor(cfg))
+	head, err := json.Marshal(headerFor(cfg))
 	if err != nil {
 		f.Fatal(err)
 	}
+	head = append(head, '\n')
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		path := filepath.Join(t.TempDir(), "run.journal.json")
-		if err := os.WriteFile(path, append(append(hdr[:len(hdr):len(hdr)], '\n'), tail...), 0o644); err != nil {
+		if err := os.WriteFile(path, append(slices.Clip(head), tail...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		replay := func() []*Envelope[float64] {
